@@ -7,9 +7,11 @@ which must be enforced explicitly when building a counterexample.  The
 :class:`ForeignKeyConstraint` therefore exposes two extra operations used by
 the algorithms:
 
-* :meth:`ForeignKeyConstraint.implications` — per child tuple, the set of
-  parent tuples one of which must be kept (the ``child ⇒ parent`` clauses the
-  paper adds to the SAT/SMT encoding), and
+* :meth:`ForeignKeyConstraint.parents_of` — for one child tuple, the parent
+  tuples one of which must be kept (the ``child ⇒ parent`` clause the paper
+  adds to the SAT/SMT encoding), read from the parent relation's maintained
+  hash index; :meth:`ForeignKeyConstraint.implications` is the whole-relation
+  form, kept as an independent oracle for the verifier, and
 * :func:`close_under_foreign_keys` — closure of a tid set so that ad-hoc
   subinstances (e.g. from the poly-time algorithms) remain valid.
 """
@@ -17,8 +19,9 @@ the algorithms:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
+from repro.catalog.instance import tid_sort_key
 from repro.errors import SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,6 +173,39 @@ class ForeignKeyConstraint(Constraint):
                 )
         return messages
 
+    def parents_of(self, instance: "DatabaseInstance", child_tid: str) -> tuple[str, ...] | None:
+        """The parent tids that can satisfy ``child_tid``'s reference.
+
+        ``None`` when the referencing values are all NULL (no requirement);
+        an empty tuple when the reference is dangling.  Parents come out in
+        insertion order, read from the parent relation's hash index, which
+        the catalog maintains across edits — one lookup, not a scan.
+        """
+        child_rel = instance.relation(self.child)
+        values = child_rel.row(child_tid)
+        key = tuple(values[child_rel.schema.index_of(a)] for a in self.child_attributes)
+        if all(v is None for v in key):
+            return None
+        return tuple(tid for tid, _ in self._parent_index(instance).get(key, ()))
+
+    def dangling_children(self, instance: "DatabaseInstance") -> list[str]:
+        """Child tids whose non-NULL reference matches no parent, in insertion order."""
+        child_rel = instance.relation(self.child)
+        child_idx = [child_rel.schema.index_of(a) for a in self.child_attributes]
+        parent_index = self._parent_index(instance)
+        dangling = []
+        for tid, values in child_rel.tuples():
+            key = tuple(values[i] for i in child_idx)
+            if key not in parent_index and not all(v is None for v in key):
+                dangling.append(tid)
+        return dangling
+
+    def _parent_index(self, instance: "DatabaseInstance") -> dict[tuple, list[tuple[str, Any]]]:
+        parent_rel = instance.relation(self.parent)
+        return parent_rel.hash_index(
+            tuple(parent_rel.schema.index_of(a) for a in self.parent_attributes)
+        )
+
     def implications(self, instance: "DatabaseInstance") -> dict[str, list[str]]:
         """For each child tid, the parent tids that can satisfy the reference.
 
@@ -217,31 +253,38 @@ def close_under_foreign_keys(
     picking one would poison the closure when a clean alternative exists),
     breaking ties by insertion order for determinism.  The process repeats
     until a fixpoint because parents may themselves be children of other
-    foreign keys.
+    foreign keys.  Each pass looks up only the kept children's parents
+    (:meth:`ForeignKeyConstraint.parents_of`), so the cost follows the
+    closure's size, not the instance's.
     """
     if constraints is None:
         constraints = instance.schema.constraints
     foreign_keys = [c for c in constraints if isinstance(c, ForeignKeyConstraint)]
-    # Tuples whose own (non-NULL) reference has no matching parent anywhere.
-    unsupportable: set[str] = set()
-    for fk in foreign_keys:
-        for child_tid, parents in fk.implications(instance).items():
-            if not parents:
-                unsupportable.add(child_tid)
+
+    def supportable(tid: str) -> bool:
+        # False for a tuple whose own (non-NULL) reference matches no parent.
+        return all(
+            fk.parents_of(instance, tid) != ()
+            for fk in foreign_keys
+            if tid in instance.relation(fk.child)
+        )
+
     closed = set(tids)
     changed = True
     while changed:
         changed = False
         for fk in foreign_keys:
-            implications = fk.implications(instance)
-            for child_tid, parents in implications.items():
-                if child_tid not in closed:
+            child_rel = instance.relation(fk.child)
+            # Children with one key share one parent list and different keys
+            # have disjoint ones, so the visiting order can only matter for a
+            # self-referencing key; sorting keeps even that deterministic.
+            kept = sorted((tid for tid in closed if tid in child_rel), key=tid_sort_key)
+            for child_tid in kept:
+                parents = fk.parents_of(instance, child_tid)
+                if not parents or not closed.isdisjoint(parents):
+                    # No requirement, satisfied already, or dangling in the
+                    # full instance itself (nothing we can add).
                     continue
-                if not parents:
-                    # The full instance itself is dangling; nothing we can add.
-                    continue
-                if not any(parent in closed for parent in parents):
-                    supportable = [p for p in parents if p not in unsupportable]
-                    closed.add(supportable[0] if supportable else parents[0])
-                    changed = True
+                closed.add(next((p for p in parents if supportable(p)), parents[0]))
+                changed = True
     return closed

@@ -9,6 +9,7 @@ under set semantics and carry no identifiers.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -56,6 +57,10 @@ class Relation:
         # incrementally under delete/update, not just counted once.
         self._distinct_counts: dict[tuple[int, ...], dict[tuple, int]] = {}
         self._log: deque[LogEntry] = deque(maxlen=MUTATION_LOG_CAPACITY)
+        # Insertion rank of every tid, built only when an update moves a
+        # tuple between index buckets, and maintained from then on.
+        self._ranks: dict[str, int] | None = None
+        self._next_rank = 0
 
     # -- mutation ----------------------------------------------------------
 
@@ -90,6 +95,9 @@ class Relation:
         self._rows[tid] = coerced
         self._version += 1
         self._log.append((self._version, "+", tid, None, coerced))
+        if self._ranks is not None:
+            self._ranks[tid] = self._next_rank
+            self._next_rank += 1
         self._index_add(tid, coerced)
         return tid
 
@@ -112,6 +120,8 @@ class Relation:
             ) from None
         self._version += 1
         self._log.append((self._version, "-", tid, values, None))
+        if self._ranks is not None:
+            del self._ranks[tid]
         self._index_remove(tid, values)
         return values
 
@@ -138,8 +148,7 @@ class Relation:
         self._rows[tid] = coerced
         self._version += 1
         self._log.append((self._version, "~", tid, old, coerced))
-        self._index_remove(tid, old)
-        self._index_add(tid, coerced)
+        self._index_replace(tid, old, coerced)
         return old, coerced
 
     def changes_since(self, version: int) -> list[LogEntry] | None:
@@ -172,9 +181,7 @@ class Relation:
         for key_indexes, index in self._indexes.items():
             key = tuple(values[i] for i in key_indexes)
             index.setdefault(key, []).append((tid, values))
-        for key_indexes, counter in self._distinct_counts.items():
-            key = tuple(values[i] for i in key_indexes)
-            counter[key] = counter.get(key, 0) + 1
+        self._count(values, 1)
 
     def _index_remove(self, tid: str, values: Values) -> None:
         for key_indexes, index in self._indexes.items():
@@ -185,9 +192,43 @@ class Relation:
             bucket[:] = [pair for pair in bucket if pair[0] != tid]
             if not bucket:
                 del index[key]
+        self._count(values, -1)
+
+    def _index_replace(self, tid: str, old: Values, new: Values) -> None:
+        """Re-key an updated tuple, keeping every bucket in insertion order.
+
+        A tuple whose key is unchanged keeps its slot; one whose key changes
+        is inserted into its new bucket at its insertion rank, so a
+        maintained index always equals a fresh build of the same rows.
+        """
+        for key_indexes, index in self._indexes.items():
+            old_key = tuple(old[i] for i in key_indexes)
+            new_key = tuple(new[i] for i in key_indexes)
+            bucket = index[old_key]
+            slot = next(i for i, pair in enumerate(bucket) if pair[0] == tid)
+            if old_key == new_key:
+                bucket[slot] = (tid, new)
+                continue
+            del bucket[slot]
+            if not bucket:
+                del index[old_key]
+            ranks = self._insertion_ranks()
+            target = index.setdefault(new_key, [])
+            at = bisect(target, ranks[tid], key=lambda pair: ranks[pair[0]])
+            target.insert(at, (tid, new))
+        self._count(old, -1)
+        self._count(new, 1)
+
+    def _insertion_ranks(self) -> dict[str, int]:
+        if self._ranks is None:
+            self._ranks = {tid: rank for rank, tid in enumerate(self._rows)}
+            self._next_rank = len(self._rows)
+        return self._ranks
+
+    def _count(self, values: Values, step: int) -> None:
         for key_indexes, counter in self._distinct_counts.items():
             key = tuple(values[i] for i in key_indexes)
-            remaining = counter.get(key, 0) - 1
+            remaining = counter.get(key, 0) + step
             if remaining > 0:
                 counter[key] = remaining
             else:

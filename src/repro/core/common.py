@@ -112,11 +112,16 @@ def pick_witness_target(
     the witness is then computed w.r.t. ``winning − losing``.  Raises
     :class:`CounterexampleError` when the two queries agree on the instance.
     """
-    only_in_q1, only_in_q2 = symmetric_difference_rows(q1, q2, instance, params, session)
+    result1 = evaluate_cached(q1, instance, params, session)
+    result2 = evaluate_cached(q2, instance, params, session)
+    # The first row of symmetric_difference_rows' order, without sorting:
+    # min() and a stable sort both keep the first of equal keys.
+    only_in_q1 = result1.rows - result2.rows
     if only_in_q1:
-        return only_in_q1[0], q1, q2
+        return min(only_in_q1, key=_row_key), q1, q2
+    only_in_q2 = result2.rows - result1.rows
     if only_in_q2:
-        return only_in_q2[0], q2, q1
+        return min(only_in_q2, key=_row_key), q2, q1
     raise CounterexampleError("the two queries return identical results on this instance")
 
 

@@ -8,7 +8,9 @@ no clauses (§2.1).
 :func:`foreign_key_clauses` builds the implication clauses restricted to the
 tuples the solver may actually keep, following references transitively (a
 Registration row may require a Student row, which may itself require a
-Department row, and so on).
+Department row, and so on).  Each frontier tuple costs one lookup in the
+parent relation's hash index, which the catalog maintains under edits, so
+the work is O(|frontier|) — it follows the witness, not the database.
 """
 
 from __future__ import annotations
@@ -31,11 +33,8 @@ def dangling_children(instance: DatabaseInstance) -> set[str]:
     """
     dangling: set[str] = set()
     for constraint in instance.schema.constraints:
-        if not isinstance(constraint, ForeignKeyConstraint):
-            continue
-        for child_tid, parents in constraint.implications(instance).items():
-            if not parents:
-                dangling.add(child_tid)
+        if isinstance(constraint, ForeignKeyConstraint):
+            dangling.update(constraint.dangling_children(instance))
     return dangling
 
 
@@ -49,15 +48,16 @@ def foreign_key_clauses(
     by those children are added to the frontier so that chains of foreign keys
     are covered.
     """
-    foreign_keys = [
-        c for c in instance.schema.constraints if isinstance(c, ForeignKeyConstraint)
-    ]
-    if not foreign_keys:
+    by_child: dict[str, list[ForeignKeyConstraint]] = {}
+    for constraint in instance.schema.constraints:
+        if isinstance(constraint, ForeignKeyConstraint):
+            fks = by_child.setdefault(constraint.child, [])
+            if constraint not in fks:
+                fks.append(constraint)
+    if not by_child:
         return []
 
-    implications_per_fk = [(fk, fk.implications(instance)) for fk in foreign_keys]
     clauses: list[ForeignKeyClause] = []
-    emitted: set[tuple[str, str]] = set()
     frontier = set(relevant_tids)
     processed: set[str] = set()
     while frontier:
@@ -66,14 +66,10 @@ def foreign_key_clauses(
             continue
         processed.add(tid)
         relation_name, _ = split_tid(tid)
-        for fk, implications in implications_per_fk:
-            if fk.child != relation_name or tid not in implications:
+        for fk in by_child.get(relation_name, ()):
+            parents = fk.parents_of(instance, tid)
+            if parents is None:
                 continue
-            key = (tid, str(fk))
-            if key in emitted:
-                continue
-            emitted.add(key)
-            parents = tuple(implications[tid])
             clauses.append(ForeignKeyClause(tid, parents))
             for parent in parents:
                 if parent not in processed:

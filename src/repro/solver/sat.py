@@ -7,6 +7,14 @@ two-literal watching, first-UIP learning, VSIDS-like activities and
 phase saving (biased towards *false*, which nudges initial models towards
 few kept tuples).
 
+Branching follows VSIDS through a lazy binary heap of ``(-activity, var)``
+entries, as in MiniSat: a decision pops the most active unassigned variable
+in O(log V) instead of scanning every variable.  Ties go to the lowest
+variable index.  Entries are pushed when a free variable's activity is
+bumped and when backtracking frees a variable; stale or assigned entries are
+skipped on pop, and the heap is rebuilt at every solve restart and whenever
+activities are rescaled.
+
 The solver is incremental in the simple sense used by the optimizer: clauses
 may be added between :meth:`SATSolver.solve` calls and learned clauses are
 retained; every solve restarts the search from decision level zero.
@@ -14,6 +22,7 @@ retained; every solve restarts the search from decision level zero.
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -71,6 +80,7 @@ class SATSolver:
     _phase: dict[int, bool] = field(default_factory=dict)
     _var_inc: float = 1.0
     _variables: set[int] = field(default_factory=set)
+    _order: list[tuple[float, int]] = field(default_factory=list)
     _propagated: int = 0
 
     stats: SolveStats = field(default_factory=SolveStats)
@@ -231,6 +241,7 @@ class SATSolver:
         self._trail.clear()
         self._trail_lim.clear()
         self._propagated = 0
+        self._rebuild_order()
         self.stats.restarts += 1
 
     def _decision_level(self) -> int:
@@ -370,22 +381,26 @@ class SATSolver:
                 del self._assign[var]
                 del self._level[var]
                 del self._reason[var]
+                heapq.heappush(self._order, (-self._activity[var], var))
             self._propagated = min(self._propagated, len(self._trail))
 
     def _pick_branch_literal(self) -> int | None:
-        best_var: int | None = None
-        best_activity = -1.0
-        for var in self._variables:
-            if var in self._assign:
-                continue
-            activity = self._activity[var]
-            if activity > best_activity:
-                best_activity = activity
-                best_var = var
-        if best_var is None:
-            return None
-        phase = self._phase.get(best_var, self.default_phase)
-        return best_var if phase else -best_var
+        order = self._order
+        while order:
+            negated, var = heapq.heappop(order)
+            if var in self._assign or -negated != self._activity[var]:
+                continue  # assigned, or superseded by a later bump
+            phase = self._phase.get(var, self.default_phase)
+            return var if phase else -var
+        return None
+
+    def _rebuild_order(self) -> None:
+        self._order = [
+            (-self._activity[var], var)
+            for var in self._variables
+            if var not in self._assign
+        ]
+        heapq.heapify(self._order)
 
     def _bump_activity(self, var: int) -> None:
         self._activity[var] += self._var_inc
@@ -393,6 +408,9 @@ class SATSolver:
             for key in list(self._activity):
                 self._activity[key] *= 1e-100
             self._var_inc *= 1e-100
+            self._rebuild_order()
+        elif var not in self._assign:
+            heapq.heappush(self._order, (-self._activity[var], var))
 
     def _decay_activities(self) -> None:
         self._var_inc /= 0.95

@@ -147,3 +147,78 @@ class TestResultSet:
         schema = RelationSchema.of("R", [("a", DataType.INT), ("b", DataType.STRING)])
         result = ResultSet.of(schema, [(1, "x")])
         assert result.to_dicts() == [{"a": 1, "b": "x"}]
+
+
+def _fresh_index(relation, key_indexes):
+    """The index a cold build over the relation's current rows produces."""
+    return relation.copy().hash_index(key_indexes)
+
+
+class TestMaintainedIndexOrder:
+    """A hash index maintained under edits equals a fresh build, bucket order included."""
+
+    def test_update_keeping_the_key_keeps_the_bucket_slot(self):
+        from repro.datagen import university_instance
+
+        registration = university_instance(20).relation("Registration")
+        index = registration.hash_index((1,))
+        name, course, dept, grade = registration.row("Registration:1")
+        registration.update("Registration:1", (name, course, dept, grade + 1))
+        bucket = [tid for tid, _ in index[(course,)]]
+        assert bucket == [tid for tid, _ in _fresh_index(registration, (1,))[(course,)]]
+        assert bucket == [
+            tid for tid, values in registration.tuples() if values[1] == course
+        ]
+        assert dict(index[(course,)])["Registration:1"][3] == grade + 1
+
+    def test_update_moving_a_tuple_lands_at_its_insertion_rank(self, simple_db):
+        relation = simple_db.relation("R")
+        for a in (1, 2, 1, 2):
+            relation.insert((a, "x"))
+        index = relation.hash_index((0,))
+        relation.update("R:1", (2, "x"))  # R:1 now precedes R:2 and R:4 in bucket 2
+        assert [tid for tid, _ in index[(2,)]] == ["R:1", "R:2", "R:4"]
+        assert [tid for tid, _ in index[(1,)]] == ["R:3"]
+        assert index == _fresh_index(relation, (0,))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_edit_streams_match_a_fresh_build(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        schema = DatabaseSchema.of(
+            [
+                RelationSchema.of(
+                    "R", [("a", DataType.INT), ("b", DataType.INT), ("c", DataType.STRING)]
+                )
+            ]
+        )
+        relation = DatabaseInstance(schema).relation("R")
+        keys = [(0,), (1,), (0, 2)]
+
+        def random_row():
+            return (rng.randrange(4), rng.randrange(3), rng.choice("xy"))
+
+        for _ in range(12):
+            relation.insert(random_row())
+        for step in range(150):
+            if step in (0, 40, 90):  # indexes built at different points of the stream
+                relation.hash_index(keys[step % 3])
+                relation.distinct_count((2,))
+            live = relation.tids()
+            op = rng.random()
+            if op < 0.3 or not live:
+                relation.insert(random_row())
+            elif op < 0.5:
+                relation.delete(rng.choice(live))
+            elif op < 0.6:
+                # Re-insert under an explicit, previously used identifier.
+                tid = rng.choice(live)
+                values = relation.delete(tid)
+                relation.insert(values, tid=tid)
+            else:
+                relation.update(rng.choice(live), random_row())
+            for key in keys:
+                if key in relation._indexes:
+                    assert relation.hash_index(key) == _fresh_index(relation, key)
+            assert relation.distinct_count((2,)) == len({v[2] for _, v in relation.tuples()})

@@ -40,6 +40,24 @@ class TestCommonHelpers:
         assert winning is example1_q2 and losing is example1_q1
         assert row in evaluate(example1_q2, instance).rows
 
+    def test_pick_witness_target_is_first_sorted_row(self):
+        from repro.datagen import university_instance
+        from repro.workload import course_questions
+
+        instance = university_instance(40, seed=1)
+        checked = 0
+        for question in course_questions():
+            correct = question.correct_query
+            for wrong in question.handwritten_wrong_queries:
+                only1, only2 = symmetric_difference_rows(correct, wrong, instance)
+                if not (only1 or only2):
+                    continue
+                row, winning, _ = pick_witness_target(correct, wrong, instance)
+                assert row == (only1 or only2)[0]
+                assert winning is (correct if only1 else wrong)
+                checked += 1
+        assert checked >= 5
+
     def test_pick_witness_target_identical_queries(self, example1_q1):
         instance = toy_university_instance()
         with pytest.raises(CounterexampleError):
