@@ -10,22 +10,16 @@ both execution backends, and times four regimes per backend:
 * ``warm eval``  — the session keeps its compiled/optimized plans but the
   result memo is cleared (:meth:`EngineSession.clear_cached_results`), so
   every query *executes* again; best of three passes.  This is the regime a
-  grading daemon lives in — plans hot, data fresh — and the one the
-  cost-based optimizer targets;
+  grading daemon lives in — plans hot, data fresh;
 * ``memo eval``  — the same session evaluates again with the result memo
   intact (both backends serve these from the shared memo — memo cost is
   backend-independent by design);
 * ``grading``    — a fresh :class:`~repro.api.service.GradingService` batch
   over the 15 (reference, submission) pairs.
 
-The Python backend additionally runs with the cost-based pipeline disabled
-(``LEGACY_OPTIMIZER_CONFIG`` — the pre-reordering, row-at-a-time engine) and
-the benchmark *gates* on the optimized pipeline winning warm evaluation.
-
-The benchmark also asserts the matrix property the differential fuzz suite
+The benchmark asserts the matrix property the differential fuzz suite
 establishes statistically: identical row sets and bit-identical grades on
-both backends and both optimizer configurations.  It does not assert a
-backend winner — the point of the matrix is that backend choice is a
+both backends.  It does not assert a backend winner — the point of the matrix is that backend choice is a
 deployment decision, not a correctness one.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_backend_matrix.py``)
@@ -40,7 +34,7 @@ import time
 
 from repro.api import GradingService, SubmissionRequest
 from repro.datagen import tpch_instance
-from repro.engine import LEGACY_OPTIMIZER_CONFIG, EngineSession
+from repro.engine import EngineSession
 from repro.workload import tpch_queries
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
@@ -162,28 +156,11 @@ def run_benchmark(seed: int = 7) -> dict:
             result["sqlite_statements"] = stats["sqlite_statements"]
             result["sqlite_fallbacks"] = stats["sqlite_fallbacks"]
 
-    # The pre-cost-based-optimizer engine: no reordering, no semijoins, no
-    # columnar batches.  Its warm time is the baseline the pipeline must beat.
-    legacy = EngineSession(instance, config=LEGACY_OPTIMIZER_CONFIG)
-    row_sets["legacy"] = [legacy.evaluate(q).rows for q in queries]
-    result["legacy_warm_s"] = _warm_eval_seconds(legacy, queries)
-
     assert row_sets["python"] == row_sets["sqlite"], "backends disagree on rows"
-    assert row_sets["python"] == row_sets["legacy"], (
-        "optimizer configurations disagree on rows"
-    )
     assert result["python_grades"] == result["sqlite_grades"], (
         "backends disagree on grades"
     )
     result["wrong"] = sum(1 for g in result["python_grades"] if not g["correct"])
-    result["warm_speedup"] = result["legacy_warm_s"] / result["python_warm_s"]
-    # Gate: the cost-based + columnar pipeline must win warm Python eval
-    # against the pre-pipeline engine on the course workload.  Enforced here
-    # (not only in the pytest wrapper) so the CI smoke invocation gates too.
-    assert result["python_warm_s"] < result["legacy_warm_s"], (
-        f"optimized warm eval ({result['python_warm_s']:.3f}s) lost to the "
-        f"legacy engine ({result['legacy_warm_s']:.3f}s)"
-    )
 
     result.update(_tracing_overhead(instance, requests))
     # Gate: per-request tracing must stay cheap enough to leave on-demand
@@ -209,8 +186,6 @@ def test_backend_matrix(benchmark=None):
     assert result["sqlite_statements"] > 0
     assert result["sqlite_fallbacks"] == 0
     assert result["wrong"] == 10  # two wrong variants per TPC-H query
-    # run_benchmark itself gates warm optimized < warm legacy.
-    assert result["warm_speedup"] > 1.0
 
 
 def main() -> None:
@@ -225,10 +200,6 @@ def main() -> None:
         py = result[f"python_{regime}_s"]
         sq = result[f"sqlite_{regime}_s"]
         print(f"{regime + ' eval':<14} {py:>9.3f}s {sq:>9.3f}s")
-    print(
-        f"warm python vs legacy engine: {result['python_warm_s']:.3f}s vs "
-        f"{result['legacy_warm_s']:.3f}s ({result['warm_speedup']:.2f}x)"
-    )
     print(
         f"sqlite executed {result['sqlite_statements']} statements, "
         f"{result['sqlite_fallbacks']} fallbacks; grades bit-identical across backends"

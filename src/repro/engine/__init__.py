@@ -2,15 +2,16 @@
 
 Queries are compiled from the RA AST into a logical plan
 (:mod:`repro.engine.logical`), optimized (:mod:`repro.engine.optimizer` —
-selection pushdown via :mod:`repro.ra.rewrite`, then a cost-based pipeline
-over instance statistics (:mod:`repro.engine.stats`): join reordering,
-semijoin reduction of foreign-key joins, and the hash-join build-side
-choice), and executed by physical operators (:mod:`repro.engine.physical`)
-that are generic over an annotation domain (:mod:`repro.engine.domains`):
-:class:`SetDomain` yields plain set-semantics results,
-:class:`ProvenanceDomain` yields Boolean how-provenance.  Under the Set
-domain the hot operators additionally lower to columnar batches
-(:mod:`repro.engine.columnar`).  The ``evaluate()`` and ``annotate()``
+selection pushdown and join-conjunct sinking via :mod:`repro.ra.rewrite`,
+then, for the Set domain, a cost-based pipeline over instance statistics
+(:mod:`repro.engine.stats`): semijoin reduction of foreign-key joins and the
+hash-join build-side choice), and executed by physical operators
+(:mod:`repro.engine.physical`) that are generic over an annotation domain
+(:mod:`repro.engine.domains`): :class:`SetDomain` yields plain set-semantics
+results, :class:`ProvenanceDomain` yields Boolean how-provenance.  That makes
+two plan flavours: the Set domain runs the full pipeline on columnar batches
+(:mod:`repro.engine.columnar`), order-sensitive domains run the
+pushdown-only plan on the dict operators.  The ``evaluate()`` and ``annotate()``
 facades in :mod:`repro.ra.evaluator` and :mod:`repro.provenance.annotate`
 are thin wrappers over this package.
 
@@ -49,18 +50,14 @@ from repro.engine.logical import (
     split_equijoin_conjuncts,
 )
 from repro.engine.optimizer import (
-    DEFAULT_OPTIMIZER_CONFIG,
-    LEGACY_OPTIMIZER_CONFIG,
     CardinalityEstimator,
-    OptimizerConfig,
     apply_semijoin_reduction,
     choose_build_sides,
     estimate_rows,
     optimize_expression,
-    reorder_joins,
 )
 from repro.engine.physical import PlanExecutor, apply_aggregate, compile_predicate
-from repro.engine.session import EngineSession, evaluate_with_engine, rows_with_engine
+from repro.engine.session import EngineSession
 from repro.engine.stats import PlanStats, StatsCatalog
 from repro.engine.structural import KeyCache, StructuralKey, structural_hash
 
@@ -72,15 +69,12 @@ __all__ = [
     "CardinalityEstimator",
     "ColumnBatch",
     "CrossOp",
-    "DEFAULT_OPTIMIZER_CONFIG",
     "DifferenceOp",
     "EngineSession",
     "FilterOp",
     "IntersectOp",
     "JoinOp",
     "KeyCache",
-    "LEGACY_OPTIMIZER_CONFIG",
-    "OptimizerConfig",
     "PROVENANCE_DOMAIN",
     "PlanExecutor",
     "PlanNode",
@@ -102,11 +96,8 @@ __all__ = [
     "compile_plan",
     "compile_predicate",
     "estimate_rows",
-    "evaluate_with_engine",
     "optimize_expression",
     "plan_operators",
-    "reorder_joins",
-    "rows_with_engine",
     "split_equijoin_conjuncts",
     "structural_hash",
 ]

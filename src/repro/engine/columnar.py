@@ -42,9 +42,9 @@ from repro.engine.logical import (
     ScanOp,
     SemiJoinOp,
 )
-from repro.engine.optimizer import _predicate_can_raise
 from repro.engine.physical import compile_predicate, key_function
 from repro.errors import QueryEvaluationError, UnknownAttributeError
+from repro.ra.analysis import predicate_can_raise
 from repro.ra.predicates import COMPARISON_OPS, ColumnRef, Comparison, Literal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -234,7 +234,7 @@ def _compile_conjunct(conjunct, schema) -> _ConjunctFn:
 
 def _filter(executor: "PlanExecutor", plan: FilterOp) -> ColumnBatch:
     batch = _child_batch(executor, plan.child)
-    if _predicate_can_raise(plan.predicate, plan.schema):
+    if predicate_can_raise(plan.predicate, plan.schema):
         # Row-at-a-time with the dict path's exact closure: which row raises
         # first (and therefore which error the caller sees) must not change.
         keep = compile_predicate(plan.predicate, plan.schema)
@@ -270,7 +270,7 @@ def _build_table(
     executor: "PlanExecutor", plan: PlanNode, key: tuple[int, ...]
 ) -> "dict[tuple, list[Values]]":
     """Build-side hash table: key tuple → distinct rows in first-seen order."""
-    if executor.use_index and isinstance(plan, ScanOp):
+    if isinstance(plan, ScanOp):
         if executor.analyzer is not None:
             executor.analyzer.note(from_index=True)
         index = executor.instance.relation(plan.relation).hash_index(key)
@@ -325,7 +325,7 @@ def _hash_join(executor: "PlanExecutor", plan: JoinOp) -> ColumnBatch:
 
 def _semi_join(executor: "PlanExecutor", plan: SemiJoinOp) -> ColumnBatch:
     left = _child_batch(executor, plan.left)
-    if executor.use_index and isinstance(plan.right, ScanOp):
+    if isinstance(plan.right, ScanOp):
         if executor.analyzer is not None:
             executor.analyzer.note(from_index=True)
         keys = executor.instance.relation(plan.right.relation).hash_index(plan.right_key)

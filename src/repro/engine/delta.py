@@ -98,13 +98,11 @@ class DeltaMaintainer:
         memo,
         param_refs: MutableMapping[PlanNode, frozenset],
         *,
-        use_index: bool = True,
         scan_cache: MutableMapping[PlanNode, frozenset] | None = None,
     ) -> None:
         self.instance = instance
         self.memo = memo
         self.param_refs = param_refs
-        self.use_index = use_index
         self.scan_cache = {} if scan_cache is None else scan_cache
         self._sizes: dict[PlanNode, int] = {}
         self._node_delta: dict[tuple, NodeDelta] = {}
@@ -147,15 +145,11 @@ class DeltaMaintainer:
                 continue
             params = dict(binding)
             executor = PlanExecutor(
-                self.instance,
-                params,
-                SET_DOMAIN,
-                self.memo,
-                self.param_refs,
-                use_index=self.use_index,
+                self.instance, params, SET_DOMAIN, self.memo, self.param_refs
             )
             try:
-                new = self._patch(plan, params, old, executor, touched)
+                # Re-executed operators run columnar, like the session's.
+                new = as_mapping(self._patch(plan, params, old, executor, touched))
             except Exception:
                 new = None
             if new is None:
@@ -283,7 +277,7 @@ class DeltaMaintainer:
         """
         domain = SET_DOMAIN
         groups: dict = {}
-        if self.use_index and isinstance(child, ScanOp):
+        if isinstance(child, ScanOp):
             index = self.instance.relation(child.relation).hash_index(key)
             for key_values in wanted:
                 entries = index.get(key_values)

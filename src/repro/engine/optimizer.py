@@ -1,18 +1,16 @@
-"""Plan optimization: pushdown, join reordering, semijoins, build sides.
+"""Plan optimization: pushdown, semijoins, build sides.
 
 The optimizer has two stages:
 
 1. **AST rewrites** reuse :mod:`repro.ra.rewrite` — the selection-pushdown
    pass built for Optσ is exactly the rewrite a general engine wants, so
    :func:`optimize_expression` applies it to every subtree where it is safe
-   (predicates that can raise act as barriers, see below).
+   (predicates that can raise act as barriers, see
+   :func:`repro.ra.analysis.predicate_can_raise`).  The same pass sinks each
+   join conjunct to the lowest join whose columns cover it.
 2. **Plan rewrites** work on the compiled plan and use statistics from the
    bound instance (:class:`~repro.engine.stats.StatsCatalog`):
 
-   * :func:`reorder_joins` flattens maximal regions of commutative equi-joins
-     and cross products and greedily rebuilds them left-deep in increasing
-     estimated-cardinality order, restoring the original column order with a
-     final permutation projection;
    * :func:`apply_semijoin_reduction` filters the larger input of a
      foreign-key join by a semijoin against the other side when the
      estimate says enough rows die;
@@ -24,16 +22,14 @@ The optimizer has two stages:
 
 Both stages are semantics-preserving for every annotation domain, but only
 stage 1 is *structure*-preserving for order-sensitive annotations: flipping
-a hash join's build side (or reordering joins) changes how Boolean
-provenance is folded.  Sessions therefore apply stage 1 to every domain,
-stage 2 only to order-insensitive ones, and exact mode (which reproduces
-the historical output bit-for-bit) skips both.  Which stage-2 passes run is
-controlled by :class:`OptimizerConfig`.
+a hash join's build side changes how Boolean provenance is folded.  So there
+are two plan flavours: order-insensitive domains (the Set domain) run both
+stages, order-sensitive ones (provenance) run stage 1 only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.catalog.instance import DatabaseInstance
 from repro.catalog.schema import DatabaseSchema, RelationSchema
@@ -51,17 +47,14 @@ from repro.engine.logical import (
     UnionOp,
 )
 from repro.engine.stats import PlanStats, StatsCatalog
-from repro.catalog.types import DataType, comparable, is_numeric
+from repro.ra.analysis import predicate_can_raise
 from repro.ra.ast import RAExpression, Selection
 from repro.ra.predicates import (
     And,
-    Arithmetic,
     ColumnRef,
     Comparison,
-    Literal,
     Not,
     Or,
-    Param,
     Predicate,
     TruePredicate,
 )
@@ -75,99 +68,10 @@ _DEFAULT_SELECTIVITY = 0.4
 _MIN_SELECTIVITY = 0.001
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs of the cost-based pipeline; the default turns everything on.
-
-    ``semijoin_factor`` is the largest estimated surviving fraction for
-    which a foreign-key join input is still worth semijoin-reducing — a
-    semijoin that keeps nearly every row just adds a pass.
-    """
-
-    pushdown: bool = True
-    reorder_joins: bool = True
-    semijoin_reduction: bool = True
-    choose_build_sides: bool = True
-    columnar: bool = True
-    semijoin_factor: float = 0.5
-
-
-DEFAULT_OPTIMIZER_CONFIG = OptimizerConfig()
-
-#: What the optimizer did before the cost-based passes existed: selection
-#: pushdown plus the build-side flip, row-at-a-time execution.  Kept as the
-#: baseline configuration the benchmarks compare against.
-LEGACY_OPTIMIZER_CONFIG = OptimizerConfig(
-    reorder_joins=False, semijoin_reduction=False, columnar=False
-)
-
-
-def _scalar_dtype(scalar, schema) -> DataType | None:
-    """Static type of a scalar against ``schema``; ``None`` when unknown."""
-    if isinstance(scalar, ColumnRef):
-        if schema.has_attribute(scalar.name):
-            return schema.attribute(scalar.name).dtype
-        return None
-    if isinstance(scalar, Literal):
-        value = scalar.value
-        if isinstance(value, bool):
-            return DataType.BOOL
-        if isinstance(value, (int, float)):
-            return DataType.FLOAT
-        if isinstance(value, str):
-            return DataType.STRING
-        return None
-    if isinstance(scalar, Arithmetic):
-        left = _scalar_dtype(scalar.left, schema)
-        right = _scalar_dtype(scalar.right, schema)
-        if left is not None and right is not None and is_numeric(left) and is_numeric(right):
-            return DataType.FLOAT
-        return None
-    return None  # parameters and unknown scalar types
-
-
-def _scalar_can_raise(scalar, schema) -> bool:
-    if isinstance(scalar, Param):
-        # An unbound parameter raises only when the predicate is evaluated,
-        # so its selection must keep seeing exactly the original rows.
-        return True
-    if isinstance(scalar, Arithmetic):
-        if scalar.op == "/":
-            return True  # division by zero
-        if _scalar_can_raise(scalar.left, schema) or _scalar_can_raise(scalar.right, schema):
-            return True
-        # Non-numeric operands make +,-,* raise TypeError when evaluated.
-        return _scalar_dtype(scalar, schema) is None
-    return False
-
-
-def _predicate_can_raise(predicate: Predicate, schema) -> bool:
-    """True when evaluating the predicate may abort on some rows.
-
-    Division and ill-typed expressions (a string column ordered against a
-    number — typical of malformed student queries) raise only on the rows
-    they are evaluated over; pushing such a predicate below a join would
-    evaluate it on rows the join eliminates, turning a query the historical
-    interpreter answered into an error.
-    """
-    if isinstance(predicate, Comparison):
-        if _scalar_can_raise(predicate.left, schema) or _scalar_can_raise(predicate.right, schema):
-            return True
-        if predicate.op in _ORDERED_OPS:
-            left = _scalar_dtype(predicate.left, schema)
-            right = _scalar_dtype(predicate.right, schema)
-            return left is None or right is None or not comparable(left, right)
-        return False  # = and != never raise between mismatched Python types
-    operands = getattr(predicate, "operands", None)
-    if operands is not None:
-        return any(_predicate_can_raise(p, schema) for p in operands)
-    operand = getattr(predicate, "operand", None)
-    if operand is not None:
-        return _predicate_can_raise(operand, schema)
-    return False
-
-
-_ORDERED_OPS = frozenset({"<", "<=", ">", ">="})
+#: Largest estimated surviving fraction for which a foreign-key join input
+#: is still worth semijoin-reducing: a semijoin that keeps nearly every row
+#: just adds a pass.
+SEMIJOIN_FACTOR = 0.5
 
 
 def optimize_expression(expression: RAExpression, db: DatabaseSchema) -> RAExpression:
@@ -186,7 +90,7 @@ def optimize_expression(expression: RAExpression, db: DatabaseSchema) -> RAExpre
         if cached is None:
             cached = (
                 isinstance(node, Selection)
-                and _predicate_can_raise(node.predicate, node.child.output_schema(db))
+                and predicate_can_raise(node.predicate, node.child.output_schema(db))
             ) or any(has_raising(child) for child in node.children())
             flags[id(node)] = cached
         return cached
@@ -461,274 +365,6 @@ def _choose_build_sides(plan: PlanNode, estimator: CardinalityEstimator) -> Plan
 
 
 # ---------------------------------------------------------------------------
-# Join reordering
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _RegionLeaf:
-    """One non-flattenable input of a join region, with its statistics."""
-
-    plan: PlanNode
-    offset: int  # position of its first column in the region's output
-    width: int
-    rows: float
-    ndv: tuple[float | None, ...]
-
-
-def _flattenable(plan: PlanNode) -> bool:
-    """True for joins that may be commuted/reassociated with their neighbours.
-
-    Natural joins drop columns (``keep_right``), so they keep their shape and
-    act as region leaves; a residual predicate that can raise must see
-    exactly its historical rows, so it pins its join in place too.
-    """
-    if isinstance(plan, JoinOp):
-        if plan.keep_right is not None:
-            return False
-    elif not isinstance(plan, CrossOp):
-        return False
-    return not any(_predicate_can_raise(p, plan.schema) for p in plan.residual)
-
-
-def reorder_joins(
-    plan: PlanNode, instance: DatabaseInstance, estimator: CardinalityEstimator | None = None
-) -> PlanNode:
-    """Reorder commutative-associative equi-join regions by estimated cost.
-
-    Each maximal region of theta joins and cross products is flattened into
-    leaves, equality edges and residual predicates, greedily rebuilt as a
-    left-deep tree — starting from the connected pair with the smallest
-    estimated joint cardinality, always extending with the connected leaf
-    minimizing the running estimate (cross products only as a last resort),
-    attaching every residual at the first join where its columns exist — and
-    finished with a permutation projection restoring the original column
-    order.  Semantics-preserving for order-insensitive domains only.
-    """
-    if estimator is None:
-        estimator = CardinalityEstimator(instance)
-    return _reorder(plan, estimator)
-
-
-def _reorder(plan: PlanNode, estimator: CardinalityEstimator) -> PlanNode:
-    if _flattenable(plan):
-        return _reorder_region(plan, estimator)
-    if isinstance(plan, (FilterOp, ProjectOp, AggregateOp)):
-        return replace(plan, child=_reorder(plan.child, estimator))
-    if isinstance(plan, (JoinOp, CrossOp, SemiJoinOp, UnionOp, DifferenceOp, IntersectOp)):
-        return replace(
-            plan,
-            left=_reorder(plan.left, estimator),
-            right=_reorder(plan.right, estimator),
-        )
-    return plan
-
-
-def _reorder_region(root: PlanNode, estimator: CardinalityEstimator) -> PlanNode:
-    leaves: list[_RegionLeaf] = []
-    edges: list[tuple[int, int]] = []  # equi-join pairs as global column ids
-    residuals: list[Predicate] = []
-    residual_cols: list[set[int]] = []  # global columns each residual reads
-    attrs = root.schema.attributes
-
-    def flatten(node: PlanNode, offset: int) -> int:
-        if _flattenable(node):
-            left_width = flatten(node.left, offset)
-            right_width = flatten(node.right, offset + left_width)
-            if isinstance(node, JoinOp):
-                for a, b in zip(node.left_key, node.right_key):
-                    edges.append((offset + a, offset + left_width + b))
-            for predicate in node.residual:
-                # Resolve names against the schema the residual was compiled
-                # for, then rewrite them to the region root's names for the
-                # same positions: compiled-away Renames mean inner schemas
-                # can use different names for the very same columns.
-                mapping: dict[str, str] = {}
-                cols: set[int] = set()
-                for name in predicate.referenced_columns():
-                    column = offset + node.schema.index_of(name)
-                    mapping[name] = attrs[column].name
-                    cols.add(column)
-                residuals.append(_rename_predicate_columns(predicate, mapping))
-                residual_cols.append(cols)
-            return left_width + right_width
-        leaf_plan = _reorder(node, estimator)
-        stats = estimator.plan_stats(leaf_plan)
-        leaves.append(
-            _RegionLeaf(leaf_plan, offset, stats.width, max(stats.rows, 1e-3), stats.ndv)
-        )
-        return stats.width
-
-    total = flatten(root, 0)
-    if total != root.schema.arity or len(leaves) < 3:
-        # Nothing to reorder (or the width bookkeeping disagrees with the
-        # compiled schema — bail out to the safe original shape).
-        return _reorder_intact(root, estimator)
-
-    col_leaf: dict[int, int] = {}
-    col_ndv: dict[int, float | None] = {}
-    for index, leaf in enumerate(leaves):
-        for c in range(leaf.width):
-            col_leaf[leaf.offset + c] = index
-            col_ndv[leaf.offset + c] = leaf.ndv[c]
-
-    def edge_selectivity(edge: tuple[int, int]) -> float:
-        a, b = edge
-        candidates = [n for n in (col_ndv[a], col_ndv[b]) if n]
-        if candidates:
-            return 1.0 / max(max(candidates), 1.0)
-        return 1.0 / max(leaves[col_leaf[a]].rows, leaves[col_leaf[b]].rows, 1.0)
-
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for edge_id, (a, b) in enumerate(edges):
-        i, j = col_leaf[a], col_leaf[b]
-        if i > j:
-            i, j = j, i
-        by_pair.setdefault((i, j), []).append(edge_id)
-
-    # -- greedy ordering ----------------------------------------------------
-    order: list[int]
-    if by_pair:
-        best: tuple[float, int, int] | None = None
-        for (i, j), edge_ids in sorted(by_pair.items()):
-            joint = leaves[i].rows * leaves[j].rows
-            for edge_id in edge_ids:
-                joint *= edge_selectivity(edges[edge_id])
-            if best is None or joint < best[0]:
-                best = (joint, i, j)
-        current_rows, i, j = best
-        order = [i, j]
-    else:
-        start = min(range(len(leaves)), key=lambda k: (leaves[k].rows, k))
-        order = [start]
-        current_rows = leaves[start].rows
-    placed = set(order)
-    while len(order) < len(leaves):
-        best_choice: tuple[float, int] | None = None
-        for k in range(len(leaves)):
-            if k in placed:
-                continue
-            candidate = current_rows * leaves[k].rows
-            connected = False
-            for a, b in edges:
-                i, j = col_leaf[a], col_leaf[b]
-                if (i == k and j in placed) or (j == k and i in placed):
-                    connected = True
-                    candidate *= edge_selectivity((a, b))
-            if not connected:
-                continue
-            if best_choice is None or candidate < best_choice[0]:
-                best_choice = (candidate, k)
-        if best_choice is None:  # no connected leaf left: cheapest cross product
-            k = min(
-                (k for k in range(len(leaves)) if k not in placed),
-                key=lambda k: (leaves[k].rows, k),
-            )
-            best_choice = (current_rows * leaves[k].rows, k)
-        current_rows, k = best_choice
-        order.append(k)
-        placed.add(k)
-
-    # -- rebuild left-deep ---------------------------------------------------
-    first = leaves[order[0]]
-    current = first.plan
-    placed_cols = [first.offset + c for c in range(first.width)]
-    placed_set = set(placed_cols)
-    position = {g: p for p, g in enumerate(placed_cols)}
-    used_edges: set[int] = set()
-    attached: set[int] = set()
-    for leaf_index in order[1:]:
-        leaf = leaves[leaf_index]
-        leaf_cols = [leaf.offset + c for c in range(leaf.width)]
-        left_key: list[int] = []
-        right_key: list[int] = []
-        for edge_id, (a, b) in enumerate(edges):
-            if edge_id in used_edges:
-                continue
-            if col_leaf[a] == leaf_index and b in placed_set:
-                left_key.append(position[b])
-                right_key.append(a - leaf.offset)
-                used_edges.add(edge_id)
-            elif col_leaf[b] == leaf_index and a in placed_set:
-                left_key.append(position[a])
-                right_key.append(b - leaf.offset)
-                used_edges.add(edge_id)
-        new_cols = placed_cols + leaf_cols
-        new_set = placed_set | set(leaf_cols)
-        step_residuals = tuple(
-            residuals[r]
-            for r in range(len(residuals))
-            if r not in attached and residual_cols[r] <= new_set
-        )
-        attached.update(
-            r
-            for r in range(len(residuals))
-            if r not in attached and residual_cols[r] <= new_set
-        )
-        schema = RelationSchema(root.schema.name, tuple(attrs[g] for g in new_cols))
-        if left_key:
-            current = JoinOp(
-                current,
-                leaf.plan,
-                tuple(left_key),
-                tuple(right_key),
-                step_residuals,
-                schema,
-            )
-        else:
-            current = CrossOp(current, leaf.plan, step_residuals, schema)
-        placed_cols = new_cols
-        placed_set = new_set
-        position = {g: p for p, g in enumerate(placed_cols)}
-    if placed_cols != list(range(total)):
-        # Bijective column permutation: restores the compiled output order
-        # without ever folding rows.
-        current = ProjectOp(current, tuple(position[g] for g in range(total)))
-    return current
-
-
-def _rename_scalar_columns(scalar, mapping: dict[str, str]):
-    if isinstance(scalar, ColumnRef):
-        renamed = mapping.get(scalar.name)
-        if renamed is not None and renamed != scalar.name:
-            return ColumnRef(renamed)
-        return scalar
-    if isinstance(scalar, Arithmetic):
-        return Arithmetic(
-            scalar.op,
-            _rename_scalar_columns(scalar.left, mapping),
-            _rename_scalar_columns(scalar.right, mapping),
-        )
-    return scalar
-
-
-def _rename_predicate_columns(predicate: Predicate, mapping: dict[str, str]) -> Predicate:
-    """Rewrite column references to the equivalent names of another schema."""
-    if isinstance(predicate, Comparison):
-        return Comparison(
-            predicate.op,
-            _rename_scalar_columns(predicate.left, mapping),
-            _rename_scalar_columns(predicate.right, mapping),
-        )
-    if isinstance(predicate, And):
-        return And(tuple(_rename_predicate_columns(p, mapping) for p in predicate.operands))
-    if isinstance(predicate, Or):
-        return Or(tuple(_rename_predicate_columns(p, mapping) for p in predicate.operands))
-    if isinstance(predicate, Not):
-        return Not(_rename_predicate_columns(predicate.operand, mapping))
-    return predicate
-
-
-def _reorder_intact(plan: PlanNode, estimator: CardinalityEstimator) -> PlanNode:
-    """Recurse into a region's children without reshaping the region itself."""
-    return replace(
-        plan,
-        left=_reorder(plan.left, estimator),
-        right=_reorder(plan.right, estimator),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Semijoin reduction
 # ---------------------------------------------------------------------------
 
@@ -737,8 +373,6 @@ def apply_semijoin_reduction(
     plan: PlanNode,
     instance: DatabaseInstance,
     estimator: CardinalityEstimator | None = None,
-    *,
-    factor: float = 0.5,
 ) -> PlanNode:
     """Semijoin-reduce the larger input of foreign-key equi-joins.
 
@@ -747,7 +381,7 @@ def apply_semijoin_reduction(
     :class:`~repro.catalog.constraints.ForeignKeyConstraint` is an FK join;
     its larger input is filtered by a semijoin against the other side before
     the join proper.  The reduction is applied only when the estimated
-    surviving fraction is at most ``factor``, and never to a bare scan —
+    surviving fraction is at most :data:`SEMIJOIN_FACTOR`, and never to a bare scan —
     wrapping one would destroy the cached hash-index build path, which is
     cheaper than any semijoin.  The semijoin's filter side is the join's
     other input *verbatim*, so the executor memo computes it once and the
@@ -759,7 +393,7 @@ def apply_semijoin_reduction(
     if not fk_pairs:
         return plan
     origins: dict[PlanNode, tuple] = {}
-    return _reduce(plan, estimator, fk_pairs, origins, factor)
+    return _reduce(plan, estimator, fk_pairs, origins)
 
 
 def _foreign_key_pairs(db: DatabaseSchema) -> list[frozenset]:
@@ -817,20 +451,19 @@ def _reduce(
     estimator: CardinalityEstimator,
     fk_pairs: list[frozenset],
     origins: dict[PlanNode, tuple],
-    factor: float,
 ) -> PlanNode:
     if isinstance(plan, (FilterOp, ProjectOp, AggregateOp)):
-        return replace(plan, child=_reduce(plan.child, estimator, fk_pairs, origins, factor))
+        return replace(plan, child=_reduce(plan.child, estimator, fk_pairs, origins))
     if isinstance(plan, (CrossOp, SemiJoinOp, UnionOp, DifferenceOp, IntersectOp)):
         return replace(
             plan,
-            left=_reduce(plan.left, estimator, fk_pairs, origins, factor),
-            right=_reduce(plan.right, estimator, fk_pairs, origins, factor),
+            left=_reduce(plan.left, estimator, fk_pairs, origins),
+            right=_reduce(plan.right, estimator, fk_pairs, origins),
         )
     if not isinstance(plan, JoinOp):
         return plan
-    left = _reduce(plan.left, estimator, fk_pairs, origins, factor)
-    right = _reduce(plan.right, estimator, fk_pairs, origins, factor)
+    left = _reduce(plan.left, estimator, fk_pairs, origins)
+    right = _reduce(plan.right, estimator, fk_pairs, origins)
     node = replace(plan, left=left, right=right)
     left_origins = _column_origins(node.left, estimator, origins)
     right_origins = _column_origins(node.right, estimator, origins)
@@ -855,7 +488,7 @@ def _reduce(
     if isinstance(target, ScanOp):
         return node
     fraction = _semijoin_fraction(target_stats, other_stats, target_key, other_key)
-    if fraction > factor:
+    if fraction > SEMIJOIN_FACTOR:
         return node
     reduced = SemiJoinOp(target, other, target_key, other_key)
     if target is node.left:

@@ -271,8 +271,6 @@ class PlanExecutor:
         memo: MutableMapping[tuple, "dict[Values, Any]"],
         param_refs: MutableMapping[PlanNode, frozenset] | None = None,
         *,
-        use_index: bool = True,
-        columnar: bool = False,
         analyzer=None,
     ) -> None:
         self.instance = instance
@@ -280,13 +278,12 @@ class PlanExecutor:
         self.domain = domain
         self.memo = memo
         self.param_refs = {} if param_refs is None else param_refs
-        self.use_index = use_index
-        # Columnar batches carry no annotation structure, so the lowering is
-        # restricted to the Set domain regardless of what the caller asked.
-        self.columnar = columnar and domain.name == "set"
-        # Optional EXPLAIN ANALYZE hook (repro.obs.analyze.PlanAnalyzer): when
-        # attached, run_cached routes through it so every operator execution
-        # is timed and row-counted with identical memo semantics.
+        # Columnar batches carry no annotation structure, so the Set domain
+        # runs the columnar operators and every other domain the dict ones.
+        self.columnar = domain.name == "set"
+        # Optional EXPLAIN ANALYZE hook (repro.obs.analyze.PlanAnalyzer):
+        # run_cached calls its enter/exit around every operator execution,
+        # so it times and row-counts them without a memo protocol of its own.
         self.analyzer = analyzer
 
     def _referenced_params(self, plan: PlanNode) -> frozenset:
@@ -300,16 +297,26 @@ class PlanExecutor:
 
     def run_cached(self, plan: PlanNode):
         """Memoized execution returning a dict or a ``ColumnBatch``."""
-        if self.analyzer is not None:
-            return self.analyzer.run(self, plan)
-        key = plan_memo_key(plan, self.params, self.param_refs)
-        if key is None:  # unhashable literal/parameter value: skip caching
-            return self._execute(plan)
-        cached = self.memo.get(key)
-        if cached is None:
-            cached = self._execute(plan)
-            self.memo[key] = cached
-        return cached
+        analyzer = self.analyzer
+        if analyzer is not None:
+            analyzer.enter(plan)
+        try:
+            key = plan_memo_key(plan, self.params, self.param_refs)
+            if key is None:  # unhashable literal/parameter value: skip caching
+                result, cached = self._execute(plan), False
+            else:
+                result = self.memo.get(key)
+                cached = result is not None
+                if not cached:
+                    result = self._execute(plan)
+                    self.memo[key] = result
+        except BaseException:
+            if analyzer is not None:
+                analyzer.exit(None, cached=False)
+            raise
+        if analyzer is not None:
+            analyzer.exit(result, cached=cached)
+        return result
 
     # -- dispatch ------------------------------------------------------------
 
@@ -378,7 +385,7 @@ class PlanExecutor:
         """
         domain = self.domain
         table: dict[tuple, list[tuple[Values, Any]]] = {}
-        if self.use_index and isinstance(plan, ScanOp):
+        if isinstance(plan, ScanOp):
             if self.analyzer is not None:
                 self.analyzer.note(from_index=True)
             index = self.instance.relation(plan.relation).hash_index(key)
@@ -442,7 +449,7 @@ class PlanExecutor:
         The right side contributes nothing but a key set, so a bare scan is
         answered straight from the relation's cached hash index.
         """
-        if self.use_index and isinstance(plan.right, ScanOp):
+        if isinstance(plan.right, ScanOp):
             if self.analyzer is not None:
                 self.analyzer.note(from_index=True)
             keys = self.instance.relation(plan.right.relation).hash_index(plan.right_key)

@@ -3,8 +3,8 @@
 An :class:`EngineSession` binds one :class:`~repro.catalog.instance.DatabaseInstance`
 and memoises two levels of work:
 
-* **Plans** — each RA expression is compiled (and optionally optimized) once,
-  keyed structurally, so re-checking the same reference query against many
+* **Plans** — each RA expression is compiled and optimized once, keyed
+  structurally, so re-checking the same reference query against many
   submissions never re-plans it.
 * **Results** — every executed subplan's annotated row set is cached per
   domain, keyed by the subplan plus the restriction of the parameter binding
@@ -20,20 +20,18 @@ keeps every memo entry whose subplan scans only untouched relations, and
 differentially patches set-domain entries over touched relations (see
 :mod:`repro.engine.delta`).  Only when a relation's log has been evicted (or a
 relation appeared/disappeared) does the session fall back to the historical
-wholesale invalidation.  ``exact=True`` runs the unoptimized plan with the
-historical operator order (build on the right join input, no pushdown), which
-reproduces the legacy set evaluator *and* the legacy provenance annotations
-bit for bit.
+wholesale invalidation.
 
-Provenance (and any other *order-sensitive* annotation domain, see
-:attr:`~repro.engine.domains.AnnotationDomain.order_sensitive`) runs on a
-third plan flavour: the logical rewrites (selection pushdown) are applied —
-so the ``annotate()`` facade benefits from the same optimizer as grading —
-but the hash-join build-side choice is skipped, because flipping a build side
-reorders how Boolean annotations are folded and would change their structure.
-Selection movement only ever *filters* annotated rows, never reorders or
-rewrites annotations, so this flavour stays bit-identical to the historical
-provenance evaluator (asserted by ``tests/test_provenance_engine_path.py``).
+Each plan comes in one of two flavours, picked by the executing domain.  The
+Set domain runs the full pipeline (pushdown, semijoin reduction of FK joins,
+the hash-join build-side choice) on columnar operators.  Provenance (and any
+other *order-sensitive* annotation domain, see
+:attr:`~repro.engine.domains.AnnotationDomain.order_sensitive`) runs the
+pushdown-only "logical" plan on the dict operators: flipping a build side
+reorders how Boolean annotations are folded and would change their structure,
+while selection movement only ever *filters* annotated rows, so this flavour
+stays bit-identical to the reference provenance evaluator (asserted by
+``tests/test_provenance_engine_path.py``).
 
 Sessions are **thread-safe**: a reentrant lock serializes plan compilation
 and execution, so one warm session per dataset can serve a pool of grading
@@ -69,13 +67,10 @@ from repro.engine.columnar import as_mapping
 from repro.engine.delta import DeltaMaintainer, plan_scan_relations
 from repro.engine.logical import PlanNode, compile_plan
 from repro.engine.optimizer import (
-    DEFAULT_OPTIMIZER_CONFIG,
     CardinalityEstimator,
-    OptimizerConfig,
     apply_semijoin_reduction,
     choose_build_sides,
     optimize_expression,
-    reorder_joins,
 )
 from repro.engine.physical import PlanExecutor, plan_memo_key
 from repro.engine.stats import StatsCatalog
@@ -96,11 +91,8 @@ class EngineSession:
         self,
         instance: DatabaseInstance,
         *,
-        optimize: bool = True,
-        use_index: bool = True,
         backend: str = "python",
         max_cached_results: int | None = None,
-        config: OptimizerConfig | None = None,
     ) -> None:
         if backend not in BACKEND_NAMES:
             raise ReproError(
@@ -108,10 +100,7 @@ class EngineSession:
                 f"expected one of {', '.join(BACKEND_NAMES)}"
             )
         self.instance = instance
-        self.optimize = optimize
-        self.use_index = use_index
         self.backend = backend
-        self.config = config if config is not None else DEFAULT_OPTIMIZER_CONFIG
         self._stats = StatsCatalog(instance)
         if max_cached_results is not None:
             self.max_cached_results = max_cached_results
@@ -240,7 +229,7 @@ class EngineSession:
         """Differentially patch the result memos for ``delta``.
 
         Plans, structural keys, and parameter-reference maps are all
-        data-independent, so they survive untouched (a stale join order is a
+        data-independent, so they survive untouched (a stale build side is a
         performance matter, not a correctness one).  The cardinality
         estimator's row counts *are* data-dependent, so EXPLAIN ANALYZE state
         is reset.  Set-domain entries over touched relations are patched (or
@@ -258,11 +247,7 @@ class EngineSession:
         for domain_name, memo in self._results.items():
             if domain_name == SET_DOMAIN.name:
                 maintainer = DeltaMaintainer(
-                    self.instance,
-                    memo,
-                    self._param_refs,
-                    use_index=self.use_index,
-                    scan_cache=self._scan_sets,
+                    self.instance, memo, self._param_refs, scan_cache=self._scan_sets
                 )
                 counts = maintainer.apply(delta)
                 self.stats["delta_maintained"] += counts["maintained"]
@@ -301,17 +286,16 @@ class EngineSession:
             memo = self._results[domain.name] = LRUCache(self.max_cached_results)
         return memo
 
-    def _plan(self, expression: RAExpression, *, mode: str) -> PlanNode:
-        """Compile (or fetch) the plan for one of three flavours.
+    def _plan(self, expression: RAExpression, domain: AnnotationDomain) -> PlanNode:
+        """Compile (or fetch) the plan flavour ``domain`` runs on.
 
-        ``"exact"`` — no rewrites, historical operator order;
         ``"logical"`` — selection pushdown only, deterministic operator order
         (what order-sensitive domains such as provenance run on);
-        ``"optimized"`` — the full cost-based pipeline over the bound
-        instance's statistics: join reordering, semijoin reduction of FK
-        joins, and the hash-join build-side choice (each gated by the
-        session's :class:`~repro.engine.optimizer.OptimizerConfig`).
+        ``"optimized"`` — additionally the cost-based passes over the bound
+        instance's statistics: semijoin reduction of FK joins and the
+        hash-join build-side choice.
         """
+        mode = "logical" if domain.order_sensitive else "optimized"
         key = (mode, self._keys.key(expression))
         plan = self._plans.get(key)
         if plan is not None:
@@ -319,24 +303,11 @@ class EngineSession:
             return plan
         self.stats["plan_misses"] += 1
         db = self.instance.schema
-        config = self.config
-        if mode == "exact" or not self.optimize:
-            plan = compile_plan(expression, db)
-        else:
-            expression_ = (
-                optimize_expression(expression, db) if config.pushdown else expression
-            )
-            plan = compile_plan(expression_, db)
-            if mode == "optimized":
-                estimator = CardinalityEstimator(self.instance, self._stats)
-                if config.reorder_joins:
-                    plan = reorder_joins(plan, self.instance, estimator)
-                if config.semijoin_reduction:
-                    plan = apply_semijoin_reduction(
-                        plan, self.instance, estimator, factor=config.semijoin_factor
-                    )
-                if config.choose_build_sides:
-                    plan = choose_build_sides(plan, self.instance, estimator)
+        plan = compile_plan(optimize_expression(expression, db), db)
+        if mode == "optimized":
+            estimator = CardinalityEstimator(self.instance, self._stats)
+            plan = apply_semijoin_reduction(plan, self.instance, estimator)
+            plan = choose_build_sides(plan, self.instance, estimator)
         self._plans[key] = plan
         return plan
 
@@ -395,8 +366,6 @@ class EngineSession:
         expression: RAExpression,
         domain: AnnotationDomain,
         params: ParamValues | None = None,
-        *,
-        exact: bool = False,
     ) -> tuple[RelationSchema, "dict[Values, Any]"]:
         """Run ``expression`` under ``domain``; returns (schema, annotated rows).
 
@@ -413,20 +382,9 @@ class EngineSession:
             if schema is None:
                 schema = expression.output_schema(self.instance.schema)
                 self._schemas[schema_key] = schema
-            if exact:
-                mode = "exact"
-            elif domain.order_sensitive:
-                mode = "logical"
-            else:
-                mode = "optimized"
-            plan = self._plan(expression, mode=mode)
+            plan = self._plan(expression, domain)
             analyzer = None
-            if (
-                mode == "optimized"
-                and domain is SET_DOMAIN
-                and operator_trace_enabled()
-                and current_span() is not None
-            ):
+            if domain is SET_DOMAIN and operator_trace_enabled() and current_span() is not None:
                 # A traced request asked for per-operator spans: attach an
                 # analyzer and keep execution on the Python operators (the
                 # SQLite backend runs whole plans, so it has no operators to
@@ -434,12 +392,7 @@ class EngineSession:
                 from repro.obs.analyze import PlanAnalyzer
 
                 analyzer = PlanAnalyzer(meta_cache=self._analyze_meta)
-            if (
-                self.backend == "sqlite"
-                and not exact
-                and domain is SET_DOMAIN
-                and analyzer is None
-            ):
+            if self.backend == "sqlite" and domain is SET_DOMAIN and analyzer is None:
                 rows = self._run_sqlite(plan, params or {}, domain)
                 if rows is not None:
                     return schema, rows
@@ -449,8 +402,6 @@ class EngineSession:
                 domain,
                 self._memo(domain),
                 self._param_refs,
-                use_index=self.use_index,
-                columnar=self.config.columnar and mode == "optimized",
                 analyzer=analyzer,
             )
             result = executor.run(plan)
@@ -512,8 +463,7 @@ class EngineSession:
         with self._lock:
             self._check_version()
             expression.output_schema(self.instance.schema)  # validate up front
-            mode = "optimized" if self.optimize else "exact"
-            plan = self._plan(expression, mode=mode)
+            plan = self._plan(expression, SET_DOMAIN)
             analyzer = PlanAnalyzer()
             executor = PlanExecutor(
                 self.instance,
@@ -521,8 +471,6 @@ class EngineSession:
                 SET_DOMAIN,
                 self._memo(SET_DOMAIN),
                 self._param_refs,
-                use_index=self.use_index,
-                columnar=self.config.columnar and mode == "optimized",
                 analyzer=analyzer,
             )
             begin = time.perf_counter()
@@ -544,33 +492,14 @@ class EngineSession:
         return list(rows)
 
     def annotated_rows(
-        self, expression: RAExpression, params: ParamValues | None = None, *, exact: bool = False
+        self, expression: RAExpression, params: ParamValues | None = None
     ) -> tuple[RelationSchema, "dict[Values, Any]"]:
         """Boolean how-provenance of every candidate row (a fresh dict).
 
         Runs on the logically optimized plan (selection pushdown, structural
         plan/result caching) while keeping the deterministic operator order,
         so the annotations stay identical — expression by expression — to the
-        historical ``ProvenanceEvaluator``.  ``exact=True`` forces the
-        unoptimized historical plan (kept for differential tests).
+        reference ``ReferenceProvenanceEvaluator``.
         """
-        schema, rows = self.execute(expression, PROVENANCE_DOMAIN, params, exact=exact)
+        schema, rows = self.execute(expression, PROVENANCE_DOMAIN, params)
         return schema, dict(rows)
-
-
-def evaluate_with_engine(
-    expression: RAExpression,
-    instance: DatabaseInstance,
-    params: ParamValues | None = None,
-) -> ResultSet:
-    """One-shot engine evaluation (the body of the ``evaluate()`` facade)."""
-    return EngineSession(instance).evaluate(expression, params)
-
-
-def rows_with_engine(
-    expression: RAExpression,
-    instance: DatabaseInstance,
-    params: ParamValues | None = None,
-) -> list[Values]:
-    """One-shot engine evaluation returning ordered rows."""
-    return EngineSession(instance).rows(expression, params)

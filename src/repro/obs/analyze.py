@@ -1,11 +1,11 @@
 """EXPLAIN ANALYZE: per-operator runtime instrumentation for the plan engine.
 
-A :class:`PlanAnalyzer` shadows :meth:`PlanExecutor.run_cached` — the single
-choke point every operator (python-dict and columnar alike) funnels through —
-and records, per plan node execution: wall time, actual output rows, whether
-the result came from the session memo (cache attribution), whether the
-columnar pipeline produced it, and whether a hash-index fast path served a
-build side.  The records form a tree mirroring the executed plan.
+A :class:`PlanAnalyzer` hooks into :meth:`PlanExecutor.run_cached` — the
+single choke point every operator (python-dict and columnar alike) funnels
+through — and records, per plan node execution: wall time, actual output
+rows, whether the result came from the session memo (cache attribution),
+whether the columnar pipeline produced it, and whether a hash-index fast
+path served a build side.  The records form a tree mirroring the executed plan.
 
 :class:`ExplainAnalysis` then joins those actuals against
 :class:`~repro.engine.optimizer.CardinalityEstimator` predictions to compute
@@ -107,26 +107,25 @@ class OperatorRecord:
 class PlanAnalyzer:
     """Collects an operator tree while a :class:`PlanExecutor` runs a plan.
 
-    The executor delegates ``run_cached`` here when an analyzer is attached;
-    :meth:`run` replicates the memo protocol exactly (same key function, same
-    get-or-compute) so analyzed execution returns bit-identical results —
-    the only difference is the timing/row bookkeeping around ``_execute``.
+    The executor's ``run_cached`` calls :meth:`enter` before and :meth:`exit`
+    after each memo lookup-or-compute, so analyzed execution runs the very
+    same memo protocol as unanalyzed execution; the analyzer only adds the
+    timing and row bookkeeping around it.
     """
 
     def __init__(
         self, meta_cache: "dict[int, tuple[Any, str, str]] | None" = None
     ) -> None:
         self.roots: list[OperatorRecord] = []
-        self._stack: list[OperatorRecord] = []
+        self._stack: list[tuple[OperatorRecord, float]] = []  # (record, start)
         #: Optional identity-keyed ``{id(plan): (plan, op, detail)}`` cache.
         #: Describing a node (``repr`` of predicates, mostly) is plan-static,
         #: so sessions that cache physical plans share one long-lived dict
         #: across analyzed executions; entries pin the node to keep ids valid.
         self._meta = meta_cache
 
-    def run(self, executor: Any, plan: Any):
-        from repro.engine.physical import plan_memo_key
-
+    def enter(self, plan: Any) -> None:
+        """Open a record for ``plan`` under the operator currently executing."""
         meta = None if self._meta is None else self._meta.get(id(plan))
         if meta is not None and meta[0] is plan:
             op, detail = meta[1], meta[2]
@@ -137,33 +136,22 @@ class PlanAnalyzer:
                 self._meta[id(plan)] = (plan, op, detail)
         record = OperatorRecord(plan=plan, op=op, detail=detail)
         if self._stack:
-            self._stack[-1].children.append(record)
+            self._stack[-1][0].children.append(record)
         else:
             self.roots.append(record)
-        self._stack.append(record)
         record.start = time.time()
-        begin = time.perf_counter()
-        try:
-            key = plan_memo_key(plan, executor.params, executor.param_refs)
-            if key is None:
-                result = executor._execute(plan)
-            else:
-                cached = executor.memo.get(key)
-                if cached is None:
-                    result = executor._execute(plan)
-                    executor.memo[key] = result
-                else:
-                    record.cached = True
-                    result = cached
-        except BaseException:
+        self._stack.append((record, time.perf_counter()))
+
+    def exit(self, result: Any, *, cached: bool) -> None:
+        """Close the open record; ``result`` is ``None`` when execution raised."""
+        record, begin = self._stack.pop()
+        record.seconds = time.perf_counter() - begin
+        if result is None:
             record.status = "error"
-            raise
-        finally:
-            record.seconds = time.perf_counter() - begin
-            self._stack.pop()
+            return
+        record.cached = cached
         record.actual_rows = len(result)
         record.columnar = not isinstance(result, dict)  # ColumnBatch result
-        return result
 
     def note(self, **attrs: Any) -> None:
         """Attach extra attributes to the operator currently executing.
@@ -173,7 +161,33 @@ class PlanAnalyzer:
         a prebuilt relation index instead of being materialized.
         """
         if self._stack:
-            self._stack[-1].extra.update(attrs)
+            self._stack[-1][0].extra.update(attrs)
+
+
+def _attach_estimates(
+    records: "list[OperatorRecord]",
+    estimator: Any,
+    est_cache: "dict[int, tuple[Any, float | None]] | None" = None,
+) -> None:
+    """Set ``est_rows`` on every record of the trees rooted at ``records``.
+
+    ``est_cache`` memoizes estimates per plan-node *identity* (the entry pins
+    the node so its id cannot be recycled); see :func:`emit_operator_spans`.
+    A node the estimator has no rule for (it raises ``TypeError``) keeps
+    ``est_rows = None``.
+    """
+    for record in records:
+        hit = None if est_cache is None else est_cache.get(id(record.plan))
+        if hit is not None and hit[0] is record.plan:
+            record.est_rows = hit[1]
+        else:
+            try:
+                record.est_rows = float(estimator.plan_stats(record.plan).rows)
+            except TypeError:
+                record.est_rows = None
+            if est_cache is not None:
+                est_cache[id(record.plan)] = (record.plan, record.est_rows)
+        _attach_estimates(record.children, estimator, est_cache)
 
 
 @dataclass
@@ -194,17 +208,7 @@ class ExplainAnalysis:
     ) -> "ExplainAnalysis":
         """Attach estimator predictions to the analyzer's operator tree."""
         if estimator is not None:
-
-            def annotate(record: OperatorRecord) -> None:
-                try:
-                    record.est_rows = float(estimator.plan_stats(record.plan).rows)
-                except Exception:
-                    record.est_rows = None  # estimator cannot cost this node
-                for child in record.children:
-                    annotate(child)
-
-            for root in analyzer.roots:
-                annotate(root)
+            _attach_estimates(analyzer.roots, estimator)
         return ExplainAnalysis(
             roots=analyzer.roots,
             output_rows=output_rows,
@@ -292,26 +296,7 @@ def emit_operator_spans(
         return 0
     parent = parent if parent is not None else current_span()
     if estimator is not None:
-
-        def annotate(record: OperatorRecord) -> None:
-            if record.est_rows is None:
-                hit = None if est_cache is None else est_cache.get(id(record.plan))
-                if hit is not None and hit[0] is record.plan:
-                    record.est_rows = hit[1]
-                else:
-                    try:
-                        record.est_rows = float(
-                            estimator.plan_stats(record.plan).rows
-                        )
-                    except Exception:
-                        record.est_rows = None
-                    if est_cache is not None:
-                        est_cache[id(record.plan)] = (record.plan, record.est_rows)
-            for child in record.children:
-                annotate(child)
-
-        for root in analyzer.roots:
-            annotate(root)
+        _attach_estimates(analyzer.roots, estimator, est_cache)
     emitted = 0
 
     def visit(record: OperatorRecord, span_parent: Any) -> None:

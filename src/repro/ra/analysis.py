@@ -17,7 +17,8 @@ import enum
 from dataclasses import dataclass
 
 from repro.catalog.schema import RelationSchema
-from repro.ra.predicates import ColumnRef, Comparison, Predicate
+from repro.catalog.types import DataType, comparable, is_numeric
+from repro.ra.predicates import Arithmetic, ColumnRef, Comparison, Literal, Param, Predicate
 from repro.ra.ast import (
     Difference,
     GroupBy,
@@ -65,6 +66,74 @@ def split_equijoin_conjuncts(
                 continue
         residual.append(conjunct)
     return pairs, residual
+
+
+_ORDERED_OPS = frozenset({"<", "<=", ">", ">="})
+
+
+def _scalar_dtype(scalar, schema: RelationSchema) -> DataType | None:
+    """Static type of a scalar against ``schema``; ``None`` when unknown."""
+    if isinstance(scalar, ColumnRef):
+        if schema.has_attribute(scalar.name):
+            return schema.attribute(scalar.name).dtype
+        return None
+    if isinstance(scalar, Literal):
+        value = scalar.value
+        if isinstance(value, bool):
+            return DataType.BOOL
+        if isinstance(value, (int, float)):
+            return DataType.FLOAT
+        if isinstance(value, str):
+            return DataType.STRING
+        return None
+    if isinstance(scalar, Arithmetic):
+        left = _scalar_dtype(scalar.left, schema)
+        right = _scalar_dtype(scalar.right, schema)
+        if left is not None and right is not None and is_numeric(left) and is_numeric(right):
+            return DataType.FLOAT
+        return None
+    return None  # parameters and unknown scalar types
+
+
+def _scalar_can_raise(scalar, schema: RelationSchema) -> bool:
+    if isinstance(scalar, Param):
+        # An unbound parameter raises only when the predicate is evaluated,
+        # so its selection must keep seeing exactly the original rows.
+        return True
+    if isinstance(scalar, Arithmetic):
+        if scalar.op == "/":
+            return True  # division by zero
+        if _scalar_can_raise(scalar.left, schema) or _scalar_can_raise(scalar.right, schema):
+            return True
+        # Non-numeric operands make +,-,* raise TypeError when evaluated.
+        return _scalar_dtype(scalar, schema) is None
+    return False
+
+
+def predicate_can_raise(predicate: Predicate, schema: RelationSchema) -> bool:
+    """True when evaluating the predicate may abort on some rows.
+
+    Division and ill-typed expressions (a string column ordered against a
+    number — typical of malformed student queries) raise only on the rows
+    they are evaluated over; moving such a predicate, or moving other
+    predicates past it, would change which rows it sees and can turn a query
+    the reference interpreter answers into an error (or the reverse).
+    """
+    if isinstance(predicate, Comparison):
+        if _scalar_can_raise(predicate.left, schema) or _scalar_can_raise(predicate.right, schema):
+            return True
+        if predicate.op in _ORDERED_OPS:
+            left = _scalar_dtype(predicate.left, schema)
+            right = _scalar_dtype(predicate.right, schema)
+            return left is None or right is None or not comparable(left, right)
+        return False  # = and != never raise between mismatched Python types
+    operands = getattr(predicate, "operands", None)
+    if operands is not None:
+        return any(predicate_can_raise(p, schema) for p in operands)
+    operand = getattr(predicate, "operand", None)
+    if operand is not None:
+        return predicate_can_raise(operand, schema)
+    return False
 
 
 class QueryClass(enum.Enum):

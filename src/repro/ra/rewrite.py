@@ -11,7 +11,10 @@ execution engine (:func:`repro.engine.optimizer.optimize_expression`):
 * at a join, each conjunct is pushed to whichever side contains all of its
   columns, and equality conjuncts ``col = const`` are additionally propagated
   across the join's equi-join pairs to the other side;
-* at a GroupBy, conjuncts touching only grouping attributes are pushed below.
+* at a GroupBy, conjuncts touching only grouping attributes are pushed below;
+* a theta join whose child is itself a theta join sinks each of its conjuncts
+  that reads only that child's columns into the child's predicate, so the
+  conjunct filters at the lowest join that can evaluate it.
 
 :func:`parameterize_query` implements §5.3.1: constants compared against
 aggregate aliases in HAVING-style selections become named parameters.
@@ -44,6 +47,7 @@ from repro.ra.predicates import (
     conj,
 )
 from repro.catalog.schema import DatabaseSchema
+from repro.ra.analysis import predicate_can_raise
 
 
 def add_tuple_selection(
@@ -71,7 +75,54 @@ def _push(node: RAExpression, db: DatabaseSchema) -> RAExpression:
     children = [_push(child, db) for child in node.children()]
     if not children:
         return node
-    return node.with_children(children)
+    rebuilt = node.with_children(children)
+    if isinstance(rebuilt, Join):
+        return _sink_join_conjuncts(rebuilt, db)
+    return rebuilt
+
+
+def _sink_join_conjuncts(node: Join, db: DatabaseSchema) -> Join:
+    """Move each conjunct that reads only one join child's columns into it.
+
+    Only a child that is itself a theta join receives, and the conjunct is
+    appended to its predicate: it stays a join residual (or becomes an
+    equi-join key), so a bare-relation side keeps its hash-index build path.
+    A join whose predicate can raise neither gives nor receives, since
+    moving a conjunct changes the rows the raising one is evaluated on.
+    """
+    children = node.children()
+    if node.predicate is None or not any(isinstance(child, Join) for child in children):
+        return node
+    schemas = [child.output_schema(db) for child in children]
+    if predicate_can_raise(node.predicate, schemas[0].concat(schemas[1])):
+        return node
+    receivers = [
+        set(schema.attribute_names)
+        if isinstance(child, Join)
+        and not (child.predicate is not None and predicate_can_raise(child.predicate, schema))
+        else None
+        for child, schema in zip(children, schemas)
+    ]
+    sunk: list[list[Predicate]] = [[], []]
+    kept: list[Predicate] = []
+    for conjunct in node.predicate.conjuncts():
+        referenced = conjunct.referenced_columns()
+        for side, names in enumerate(receivers):
+            if names is not None and referenced and referenced <= names:
+                sunk[side].append(conjunct)
+                break
+        else:
+            kept.append(conjunct)
+    if not sunk[0] and not sunk[1]:
+        return node
+    rebuilt = list(children)
+    for side, conjuncts in enumerate(sunk):
+        if conjuncts:
+            child = children[side]
+            own = [] if child.predicate is None else child.predicate.conjuncts()
+            merged = Join(child.left, child.right, conj(own + conjuncts))
+            rebuilt[side] = _sink_join_conjuncts(merged, db)
+    return Join(rebuilt[0], rebuilt[1], conj(kept) if kept else None)
 
 
 def _push_selection_into(

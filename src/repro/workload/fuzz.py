@@ -351,8 +351,8 @@ class QueryFuzzer:
             return self._base(rng)
         if self.join_heavy:
             # Join-heavy mode: deeper, mostly-join trees whose equi-join keys
-            # follow declared foreign keys — the shape the cost-based
-            # reorder/semijoin passes and the columnar join path optimize.
+            # follow declared foreign keys — the shape join-conjunct sinking,
+            # the semijoin pass and the columnar join path optimize.
             # A separate branch so the default mode's random streams (and
             # therefore every historical seed) are untouched.
             generators = [

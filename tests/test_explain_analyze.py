@@ -1,7 +1,7 @@
 """Tests for EXPLAIN ANALYZE: per-operator instrumentation vs estimates.
 
-The analyzer shadows the executor's memo protocol, so the headline property
-is *zero interference*: an analyzed execution returns exactly the rows a
+The analyzer hooks into the executor's memo protocol, so the headline
+property is *zero interference*: an analyzed execution returns exactly the rows a
 plain execution returns, while recording actual cardinalities, wall time and
 cache attribution per operator — which are then compared against the
 cost-based optimizer's :class:`CardinalityEstimator` predictions (q-error).
@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.datagen import toy_university_instance
+from repro.engine.domains import SET_DOMAIN
 from repro.engine.session import EngineSession
 from repro.obs.analyze import ExplainAnalysis, q_error
 from repro.obs.trace import Tracer, operator_trace
@@ -75,6 +76,27 @@ class TestExplainAnalyze:
         with tracer.span("grade"), operator_trace(True):
             traced = analyzed_session.evaluate(expression)
         assert traced.same_rows(plain)
+
+    @pytest.mark.parametrize("analyze", ["traced", "explain_analyze"])
+    def test_analysis_leaves_the_memo_as_plain_execution_does(self, analyze):
+        expression = parse_query(JOINED)
+
+        def memo_state(session):
+            memo = session._memo(SET_DOMAIN)
+            return set(memo.keys()), memo.hits, memo.misses
+
+        plain = EngineSession(toy_university_instance())
+        analyzed = EngineSession(toy_university_instance())
+        tracer = Tracer("test")
+        for _ in range(2):  # a cold run, then a warm one
+            plain.evaluate(expression)
+            if analyze == "traced":
+                with tracer.span("grade"), operator_trace(True):
+                    analyzed.evaluate(expression)
+            else:
+                analyzed.explain_analyze(expression)
+        assert memo_state(analyzed) == memo_state(plain)
+        assert memo_state(plain)[1] > 0  # the warm run hit the memo
 
     def test_second_run_attributes_the_memo_hit(self, session):
         expression = parse_query(REFERENCE)

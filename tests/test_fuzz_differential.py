@@ -28,7 +28,6 @@ from repro.catalog.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.catalog.types import DataType
 from repro.datagen import toy_beers_instance, toy_university_instance
 from repro.datagen.tpch import tpch_instance
-from repro.engine.optimizer import LEGACY_OPTIMIZER_CONFIG
 from repro.engine.reference import ReferenceEvaluator
 from repro.engine.session import EngineSession
 from repro.parser import parse_query
@@ -133,12 +132,11 @@ def _join_heavy_instances() -> list[tuple[str, DatabaseInstance]]:
     "label,instance", _join_heavy_instances(), ids=lambda v: v if isinstance(v, str) else ""
 )
 def test_differential_fuzz_join_heavy(label, instance):
-    """Reordered + columnar plans stay bit-identical on deep FK join trees.
+    """Optimized columnar plans stay bit-identical on deep FK join trees.
 
-    The join-heavy generator feeds the exact shapes the cost-based pipeline
-    rewrites (commutative equi-join regions, FK joins eligible for semijoin
-    reduction) through four evaluators: the fully optimized Python engine,
-    the engine with stage-2 passes disabled (``LEGACY_OPTIMIZER_CONFIG``),
+    The join-heavy generator feeds the exact shapes the optimizer rewrites
+    (join chains whose conjuncts sink, FK joins eligible for semijoin
+    reduction) through three evaluators: the optimized Python engine,
     SQLite, and the reference interpreter — plus a DSL re-parse.
     """
     budget = _budget()
@@ -146,23 +144,20 @@ def test_differential_fuzz_join_heavy(label, instance):
         instance.schema, instance=instance, max_depth=5, join_heavy=True
     )
     optimized = EngineSession(instance)
-    legacy = EngineSession(instance, config=LEGACY_OPTIMIZER_CONFIG)
     sqlite = EngineSession(instance, backend="sqlite")
     for fuzz_query in fuzzer.queries(budget):
         reference = frozenset(
             ReferenceEvaluator(instance, fuzz_query.params).rows(fuzz_query.expression)
         )
         fast = optimized.evaluate(fuzz_query.expression, fuzz_query.params).rows
-        slow = legacy.evaluate(fuzz_query.expression, fuzz_query.params).rows
         via_sqlite = sqlite.evaluate(fuzz_query.expression, fuzz_query.params).rows
         reparsed = optimized.evaluate(
             parse_query(fuzz_query.dsl), fuzz_query.params
         ).rows
-        assert reference == fast == slow == via_sqlite == reparsed, (
+        assert reference == fast == via_sqlite == reparsed, (
             f"optimized plans diverge — reproduce with: {fuzz_query.repro()}\n"
             f"  reference: {len(reference)} rows\n"
             f"  optimized: {len(fast)} rows\n"
-            f"  legacy:    {len(slow)} rows\n"
             f"  sqlite:    {len(via_sqlite)} rows\n"
             f"  reparsed:  {len(reparsed)} rows"
         )

@@ -1,16 +1,16 @@
 """Provenance through the optimized plan path: bit-identity and plan shape.
 
-PR 1 routed set-semantics evaluation through the logical→optimized→physical
-plan engine; provenance stayed on the exact (unoptimized) plan.  Now the
-:class:`~repro.engine.domains.ProvenanceDomain` runs on the *logically
-optimized* plan — selection pushdown plus the session's structural plan and
-result caches — while keeping the deterministic operator order (the hash-join
-build-side choice is skipped because it reorders annotation folding).
+The :class:`~repro.engine.domains.ProvenanceDomain` runs on the *logically
+optimized* plan — selection pushdown and join-conjunct sinking plus the
+session's structural plan and result caches — while keeping the
+deterministic operator order (the hash-join build-side choice is skipped
+because it reorders annotation folding).
 
 These tests pin the load-bearing claim: on every course/beers/TPC-H workload
 query the optimized-path annotations are **bit-identical** — same candidate
 rows, structurally equal Boolean expressions, identical rendering — to both
-the pre-engine reference evaluator and the engine's exact mode.
+the reference provenance evaluator and the exact plan: the expression compiled
+with no rewrites at all and run in its historical operator order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from repro.datagen import (
     tpch_instance,
     university_instance,
 )
-from repro.engine.logical import FilterOp, JoinOp, plan_operators
+from repro.engine.domains import PROVENANCE_DOMAIN
+from repro.engine.logical import FilterOp, JoinOp, compile_plan, plan_operators
+from repro.engine.physical import PlanExecutor
 from repro.engine.reference import ReferenceProvenanceEvaluator
 from repro.engine.session import EngineSession
 from repro.parser import parse_query
@@ -93,11 +95,12 @@ def test_optimized_annotations_bit_identical_to_reference(label, instance, query
 
 @pytest.mark.parametrize("label,instance,query", _CASES, ids=[c[0] for c in _CASES])
 def test_optimized_annotations_bit_identical_to_exact_mode(label, instance, query):
-    """The logical plan flavour matches exact mode on the same session."""
-    session = _session(instance)
-    _, optimized = session.annotated_rows(query)
-    _, exact = session.annotated_rows(query, exact=True)
-    assert optimized == exact
+    """The session's pushdown plan matches the unrewritten compiled plan."""
+    _, optimized = _session(instance).annotated_rows(query)
+    exact_plan = compile_plan(query, instance.schema)
+    exact = PlanExecutor(instance, {}, PROVENANCE_DOMAIN, {}).run(exact_plan)
+    assert optimized == exact, f"annotations differ from the exact plan on {label}"
+    assert list(optimized) == list(exact), f"row order differs on {label}"
 
 
 def test_provenance_plan_applies_selection_pushdown(toy_university):

@@ -139,3 +139,98 @@ class TestParameterization:
         parameterized = parameterize_query(query, DB)
         assert parameterized.original_values == {}
         assert str(parameterized.query) == str(query)
+
+
+class TestJoinConjunctSinking:
+    """A join sinks each conjunct that reads only one join child's columns."""
+
+    @staticmethod
+    def _joins(plan):
+        from repro.engine.logical import CrossOp, JoinOp, plan_operators
+
+        return [op for op in plan_operators(plan) if isinstance(op, (JoinOp, CrossOp))]
+
+    @staticmethod
+    def _compiled(query):
+        from repro.engine.logical import compile_plan
+
+        return compile_plan(push_selections_down(query, DB), DB)
+
+    def test_q2_department_filter_lands_on_the_lower_join(self, instance):
+        from repro.engine.logical import JoinOp
+        from repro.workload import course_questions
+
+        (q2,) = [q for q in course_questions() if q.key == "q2"]
+        query = q2.correct_query
+        (top,) = [
+            join for join in self._joins(self._compiled(query)) if isinstance(join.left, JoinOp)
+        ]
+        lower = top.left
+        assert "r1.dept = 'CS'" in {str(p) for p in lower.residual}
+        assert "r1.dept = 'CS'" not in {str(p) for p in top.residual}
+        assert_equivalent_on(query, push_selections_down(query, DB), instance)
+
+    def test_conjunct_over_a_bare_relation_side_stays_on_its_join(self):
+        # Pushing r2.dept = 'CS' onto the scan as a filter would cost the
+        # join its prebuilt hash-index build side.
+        from repro.engine.logical import ScanOp
+
+        query = parse_query(
+            "\\rename_{prefix: s} Student"
+            " \\join_{s.name = r1.name} \\rename_{prefix: r1} Registration"
+            " \\join_{s.name = r2.name and r2.dept = 'CS'} \\rename_{prefix: r2} Registration"
+        )
+        assert push_selections_down(query, DB) == query
+        top = self._joins(self._compiled(query))[0]
+        assert isinstance(top.right, ScanOp)
+        assert [str(p) for p in top.residual] == ["r2.dept = 'CS'"]
+
+    @pytest.mark.parametrize("raising_join", ["upper", "lower"])
+    def test_join_that_can_raise_neither_gives_nor_receives(self, raising_join):
+        from repro.datagen import toy_university_instance
+        from repro.engine import EngineSession
+        from repro.engine.reference import ReferenceEvaluator
+        from repro.ra import eq, rename_prefix, theta_join
+        from repro.ra.predicates import Arithmetic, ColumnRef, Comparison, Literal
+
+        divides = Comparison(">", Arithmetic("/", Literal(100), ColumnRef("r1.grade")), Literal(1))
+        cs = equals_constant("r1.dept", "CS")
+        lower_predicate = eq("s.name", "r1.name")
+        upper_predicate = eq("s.name", "r2.name") & cs
+        if raising_join == "upper":
+            upper_predicate = upper_predicate & divides
+        else:
+            lower_predicate = lower_predicate & divides
+        query = theta_join(
+            theta_join(
+                rename_prefix(relation("Student"), "s"),
+                rename_prefix(relation("Registration"), "r1"),
+                lower_predicate,
+            ),
+            rename_prefix(relation("Registration"), "r2"),
+            upper_predicate,
+        )
+        assert push_selections_down(query, DB) == query
+        instance = toy_university_instance()
+        # Joins nothing, so no join may ever divide by its grade.
+        instance.insert("Registration", ("Ghost", "999", "CS", 0))
+        expected = frozenset(ReferenceEvaluator(instance, {}).rows(query))
+        assert EngineSession(instance).evaluate(query).rows == expected
+
+    def test_equality_sunk_into_a_cross_product_makes_a_hash_join(self, instance):
+        from repro.engine.logical import CrossOp, JoinOp
+        from repro.ra import eq, rename_prefix, theta_join
+
+        query = theta_join(
+            theta_join(
+                rename_prefix(relation("Student"), "s"),
+                rename_prefix(relation("Registration"), "r1"),
+            ),
+            rename_prefix(relation("Registration"), "r2"),
+            eq("s.name", "r1.name") & eq("s.name", "r2.name"),
+        )
+        top = self._joins(self._compiled(query))[0]
+        assert isinstance(top, JoinOp)
+        assert isinstance(top.left, JoinOp) and not isinstance(top.left, CrossOp)
+        assert top.residual == ()
+        assert_equivalent_on(query, push_selections_down(query, DB), instance)
