@@ -16,7 +16,6 @@ from repro.core import (
 from repro.datagen import tpch_instance
 from repro.ra import evaluate, results_differ
 from repro.ratest import format_instance
-from repro.solver import AggregateSolverConfig
 from repro.workload import tpch_query
 
 
@@ -32,13 +31,12 @@ def explain(query_key: str, variant_index: int, instance) -> None:
     rewrite_rows = len(evaluate(rewrite, instance))
     print(f"    reference returns {reference_rows} rows, rewrite returns {rewrite_rows} rows")
 
-    config = AggregateSolverConfig(max_nodes=40_000, time_budget=10.0)
     heuristic = smallest_counterexample_agg_opt(correct, rewrite, instance)
     print(
         f"    Agg-Opt  : counterexample of {heuristic.size} tuples "
         f"in {heuristic.total_time():.2f}s"
     )
-    basic = smallest_counterexample_agg_basic(correct, rewrite, instance, solver_config=config)
+    basic = smallest_counterexample_agg_basic(correct, rewrite, instance)
     print(
         f"    Agg-Basic: counterexample of {basic.size} tuples "
         f"in {basic.total_time():.2f}s "
@@ -46,7 +44,7 @@ def explain(query_key: str, variant_index: int, instance) -> None:
     )
     if query.has_aggregate_predicate:
         parameterized = smallest_counterexample_agg_basic(
-            correct, rewrite, instance, parameterize=True, solver_config=config
+            correct, rewrite, instance, parameterize=True
         )
         setting = ", ".join(
             f"@{name}={value}" for name, value in sorted(parameterized.parameter_values.items())

@@ -6,9 +6,11 @@ and 7):
 * :func:`smallest_counterexample_agg_basic` — **Agg-Basic**: aggregate-aware
   provenance (Amsterdamer et al.) turned into a symbolic constraint — the
   distinguishing group either exists in only one query's result or exists in
-  both with different aggregate values — solved by the branch-and-bound
-  aggregate solver.  Scales poorly when groups are large, exactly as the
-  paper observes for TPC-H Q4/Q21.
+  both with different aggregate values — solved exactly by the aggregate
+  solver's search over FK-closed witnesses in order of size.  The paper's
+  Z3-based version times out on TPC-H Q4/Q21; this search gives up (with a
+  non-optimal witness) only when a group's smallest witness is too large
+  for its check budget.
 * :func:`smallest_counterexample_agg_basic` with ``parameterize=True`` —
   **Agg-Param**: constants compared against aggregates are replaced by free
   integer parameters (the SPCP of Definition 3), typically shrinking the
@@ -151,7 +153,7 @@ def smallest_counterexample_agg_basic(
                 break
             problem = AggregateProblem(constraint=constraint)
             problem.seed_parameters(original_params)
-            for clause in foreign_key_clauses(instance, problem.cost_variables):
+            for clause in foreign_key_clauses(instance, constraint.variables()):
                 problem.add_foreign_key(clause.child, clause.parents)
             try:
                 outcome = AggregateSolver(problem, solver_config).solve()

@@ -153,7 +153,7 @@ def verify_counterexample(
         return report
     if result.algorithm.startswith(_AGGREGATE_ALGORITHMS_PREFIXES):
         # Group-key targets and re-parameterized validation put aggregate
-        # results outside the SWP oracles; their branch-and-bound solver is
+        # results outside the SWP oracles; their aggregate solver is
         # cross-checked directly in tests/test_solver_theory.py.
         report._skip("minimality")
         return report

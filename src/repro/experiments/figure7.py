@@ -14,7 +14,6 @@ from repro.datagen.tpch import tpch_instance
 from repro.errors import ReproError
 from repro.experiments.harness import ExperimentResult, Row, ScaleProfile, mean, run_experiment
 from repro.ra.evaluator import evaluate
-from repro.solver.theory import AggregateSolverConfig
 from repro.workload.tpch_queries import tpch_query
 
 
@@ -23,13 +22,11 @@ def parameterization_experiment(
     *,
     seed: int = 1,
     query_key: str = "Q18",
-    solver_time_budget: float = 15.0,
 ) -> ExperimentResult:
     """Reproduce Figure 7 at the given scale profile."""
     if isinstance(profile, str):
         profile = ScaleProfile.by_name(profile)
     instance = tpch_instance(profile.tpch_scale, seed=seed)
-    config = AggregateSolverConfig(time_budget=solver_time_budget)
     query = tpch_query(query_key)
     reference_rows = evaluate(query.correct_query, instance).rows
     variants = [
@@ -49,7 +46,6 @@ def parameterization_experiment(
                         wrong,
                         instance,
                         parameterize=parameterize,
-                        solver_config=config,
                     )
                 except ReproError as exc:
                     statuses.add(f"failed ({type(exc).__name__})")

@@ -20,8 +20,9 @@ algorithm (Agg-Opt, Algorithm 3) in :mod:`repro.core.aggregates`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.catalog.instance import DatabaseInstance, Values
 from repro.catalog.schema import RelationSchema
@@ -126,20 +127,7 @@ class SymbolicAggregate(NumExpr):
         ]
 
     def evaluate(self, assignment: Assignment, params: ParamValues) -> Any:
-        values = self.included_values(assignment)
-        if self.func is AggregateFunction.COUNT:
-            return len(values)
-        if not values:
-            return None
-        if self.func is AggregateFunction.SUM:
-            return sum(values)
-        if self.func is AggregateFunction.AVG:
-            return sum(values) / len(values)
-        if self.func is AggregateFunction.MIN:
-            return min(values)
-        if self.func is AggregateFunction.MAX:
-            return max(values)
-        raise NotApplicableError(f"unsupported aggregate {self.func}")  # pragma: no cover
+        return fold_aggregate(self.func, self.included_values(assignment))
 
     def variables(self) -> frozenset[str]:
         result: frozenset[str] = frozenset()
@@ -199,19 +187,7 @@ class AggComparison(AggConstraint):
         right = self.right.evaluate(assignment, params)
         if left is None or right is None:
             return False
-        if self.op == "=":
-            return _values_equal(left, right)
-        if self.op == "!=":
-            return not _values_equal(left, right)
-        if self.op == "<":
-            return left < right
-        if self.op == "<=":
-            return left <= right
-        if self.op == ">":
-            return left > right
-        if self.op == ">=":
-            return left >= right
-        raise NotApplicableError(f"unsupported comparison operator {self.op!r}")
+        return comparator(self.op)(left, right)
 
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
@@ -342,6 +318,45 @@ def _values_equal(left: Any, right: Any) -> bool:
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
         return math.isclose(float(left), float(right), rel_tol=_FLOAT_TOLERANCE, abs_tol=_FLOAT_TOLERANCE)
     return left == right
+
+
+_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
+    "=": _values_equal,
+    "!=": lambda left, right: not _values_equal(left, right),
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def comparator(op: str) -> Callable[[Any, Any], bool]:
+    """The test behind ``left op right`` on two non-NULL values."""
+    try:
+        return _COMPARATORS[op]
+    except KeyError:
+        raise NotApplicableError(f"unsupported comparison operator {op!r}") from None
+
+
+def fold_aggregate(func: AggregateFunction, values: Sequence[Any]) -> Any:
+    """The aggregate of the contributing values, in contribution order.
+
+    ``COUNT`` of nothing is 0; every other aggregate of nothing is ``None``
+    (SQL NULL).
+    """
+    if func is AggregateFunction.COUNT:
+        return len(values)
+    if not values:
+        return None
+    if func is AggregateFunction.SUM:
+        return sum(values)
+    if func is AggregateFunction.AVG:
+        return sum(values) / len(values)
+    if func is AggregateFunction.MIN:
+        return min(values)
+    if func is AggregateFunction.MAX:
+        return max(values)
+    raise NotApplicableError(f"unsupported aggregate {func}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,11 @@ class GradingServer:
             "solver, total), from the CounterexampleResult timings of "
             "explanation-mode grades.",
         )
+        metrics.counter(
+            "repro_server_explanations_total",
+            "Counterexamples computed by the workers, by algorithm and by whether "
+            'the witness is proven smallest (optimal="false": a solver budget ran out).',
+        )
         metrics.gauge(
             "repro_server_queue_depth",
             "Requests currently in flight in the worker pool.",
@@ -775,6 +780,19 @@ class GradingServer:
                     {"stage": str(stage)},
                 )
 
+    def _count_explanation(self, reply: Mapping[str, Any]) -> None:
+        """Export the algorithm and optimality of a computed counterexample."""
+        report = (reply.get("outcome") or {}).get("report") or {}
+        result = report.get("result") or {}
+        if result.get("algorithm"):
+            self.metrics.inc(
+                "repro_server_explanations_total",
+                {
+                    "algorithm": str(result["algorithm"]),
+                    "optimal": "true" if result.get("optimal") else "false",
+                },
+            )
+
     def _grade_one(
         self,
         request: SubmissionRequest,
@@ -1072,6 +1090,7 @@ class GradingServer:
             )
         self._observe("queue_wait", max(0.0, perf_counter() - enqueued - grade_time))
         self._observe_explain_stages(reply.pop("explain_timings", None))
+        self._count_explanation(reply)
         # Worker spans ship back alongside the envelope; pop them *before* the
         # cacheable-persist below so traces never enter the store.
         spans = reply.pop("trace_spans", None)

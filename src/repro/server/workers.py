@@ -34,6 +34,7 @@ import zlib
 from pathlib import Path
 from concurrent.futures import Future
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from time import monotonic, perf_counter
 from typing import Any, Mapping
 
@@ -105,6 +106,25 @@ def error_envelope(message: str, kind: str, payload: Mapping[str, Any] | None = 
     }
 
 
+def _exit_with_parent() -> None:
+    """End this worker as soon as the daemon that started it is gone.
+
+    The worker ignores SIGTERM and blocks on its task queue, so a daemon that
+    dies without sending the shutdown sentinel (SIGKILL, OOM) would leave it
+    orphaned forever.  A watcher thread blocks on the parent's sentinel, off
+    the grading path, and exits the process when it fires.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        wait([parent.sentinel])
+        os._exit(0)
+
+    threading.Thread(target=watch, name="repro-worker-parent-watch", daemon=True).start()
+
+
 def _worker_main(worker_id: int, config: WorkerConfig, tasks: Any, results: Any) -> None:
     """Worker process entry point: grade until the shutdown sentinel."""
     # The parent coordinates shutdown through the task queue; stray terminal
@@ -112,6 +132,7 @@ def _worker_main(worker_id: int, config: WorkerConfig, tasks: Any, results: Any)
     # mid-grade.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    _exit_with_parent()
 
     from repro.api.service import GradingService, classify_error
     from repro.obs.trace import SpanContext, Tracer, operator_trace

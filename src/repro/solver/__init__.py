@@ -1,4 +1,4 @@
-"""Constraint solving: SAT, cardinality minimisation, aggregate branch-and-bound."""
+"""Constraint solving: SAT, cardinality minimisation, exact aggregate search."""
 
 from repro.solver.clausecache import ClauseCache, ClauseCacheEntry
 from repro.solver.cnf import CNF, VariablePool, assert_expression, sequential_counter, tseitin

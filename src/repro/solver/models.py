@@ -28,7 +28,7 @@ class MinOnesResult:
 
 @dataclass(frozen=True)
 class AggregateSolveResult:
-    """Outcome of the aggregate (SMT-lite) branch-and-bound solver."""
+    """Outcome of the aggregate (SMT-lite) solver; ``nodes_explored`` counts candidate checks."""
 
     true_variables: frozenset[str]
     parameter_values: Mapping[str, Any]

@@ -846,7 +846,6 @@ def run_counterexample_fuzz(
     reports are bugs, and ``CounterexampleOutcome.repro()`` prints the seeded
     DSL one-liner that reproduces them.
     """
-    from repro.core.aggregates import is_aggregate_pair
     from repro.core.finder import find_smallest_counterexample
     from repro.core.verify import verify_counterexample
     from repro.errors import (
@@ -855,7 +854,6 @@ def run_counterexample_fuzz(
         QueryEvaluationError,
         UnsatisfiableError,
     )
-    from repro.solver.theory import AggregateSolverConfig
 
     fuzzer = CounterexampleFuzzer(
         instance, max_depth=max_depth, allow_aggregates=allow_aggregates
@@ -864,10 +862,6 @@ def run_counterexample_fuzz(
     for pair in fuzzer.pairs(pairs, start=start):
         for algorithm in applicable_algorithms(pair.correct, pair.mutant):
             options: dict[str, Any] = dict(_FUZZ_ALGORITHM_OPTIONS.get(algorithm, {}))
-            if is_aggregate_pair(pair.correct, pair.mutant) and algorithm == "agg-basic":
-                options["solver_config"] = AggregateSolverConfig(
-                    max_nodes=20_000, time_budget=2.0
-                )
             outcome = CounterexampleOutcome(pair=pair, algorithm=algorithm)
             try:
                 result = find_smallest_counterexample(

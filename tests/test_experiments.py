@@ -105,12 +105,12 @@ class TestDrivers:
 @pytest.mark.slow
 class TestTpchDrivers:
     def test_figure6_rows(self):
-        result = tpch_experiment(TINY, solver_time_budget=5.0, solver_node_budget=5000)
+        result = tpch_experiment(TINY)
         assert {row["query"] for row in result.rows} == {"Q4", "Q16", "Q18", "Q21", "Q21-S"}
         assert {row["algorithm"] for row in result.rows} == {"Agg-Basic", "Agg-Opt"}
 
     def test_figure7_parameterization_helps(self):
-        result = parameterization_experiment(TINY, solver_time_budget=5.0)
+        result = parameterization_experiment(TINY)
         by_algorithm = {row["algorithm"]: row for row in result.rows}
         basic = by_algorithm["Agg-Basic"]["mean_counterexample_size"]
         param = by_algorithm["Agg-Param"]["mean_counterexample_size"]

@@ -9,6 +9,7 @@ store → worker process → engine.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -72,6 +73,30 @@ class TestOperationalEndpoints:
         assert 'repro_server_explain_stage_seconds_bucket{stage="solver"' in text
         assert 'repro_server_explain_stage_seconds_bucket{stage="provenance"' in text
         assert 'repro_server_explain_stage_seconds_count{stage="total"}' in text
+
+    def test_explanation_quality_is_exported(self, client):
+        # Registration counts per department on university:20; a witness must
+        # keep exactly the largest count, far beyond what the aggregate
+        # solver's check budget can prove minimal.
+        instance = GradingService().registry.resolve("university:20", seed=0).instance
+        counts = Counter(row["dept"] for row in instance.relation("Registration").to_dicts())
+        largest = max(counts.values())
+        aggregate = "\\aggr_{group: dept ; count(*) -> n} Registration"
+        client.grade(
+            {
+                "id": "bob/q7",
+                "dataset": "university:20",
+                "seed": 0,
+                "algorithm": "agg-basic",
+                "correct": f"\\select_{{n >= {largest}}} {aggregate}",
+                "test": f"\\select_{{n > {largest}}} {aggregate}",
+            }
+        )
+        client.grade(request_payload("\\project_{name} \\select_{grade > 70} Registration"))
+        text = client.metrics_text()
+        assert "# TYPE repro_server_explanations_total counter" in text
+        assert 'repro_server_explanations_total{algorithm="agg-basic",optimal="false"} 1' in text
+        assert 'optimal="true"} ' in text
 
     def test_unknown_path_is_404(self, client):
         with pytest.raises(ServerError) as err:
