@@ -358,7 +358,7 @@ def smallest_counterexample_agg_opt(
     if best_tids is None:
         # Heuristic failed to validate within the retry budget: fall back.
         return smallest_counterexample_agg_basic(
-            q1, q2, instance, params=params, parameterize=has_parameters
+            q1, q2, instance, params=params, parameterize=has_parameters, session=session
         )
     final_q1 = parameterized1.query if best_params.keys() - original_params.keys() else q1
     final_q2 = parameterized2.query if best_params.keys() - original_params.keys() else q2

@@ -8,10 +8,11 @@ then, for the Set domain, a cost-based pipeline over instance statistics
 hash-join build-side choice), and executed by physical operators
 (:mod:`repro.engine.physical`) that are generic over an annotation domain
 (:mod:`repro.engine.domains`): :class:`SetDomain` yields plain set-semantics
-results, :class:`ProvenanceDomain` yields Boolean how-provenance.  That makes
-two plan flavours: the Set domain runs the full pipeline on columnar batches
-(:mod:`repro.engine.columnar`), order-sensitive domains run the
-pushdown-only plan on the dict operators.  The ``evaluate()`` and ``annotate()``
+results, :class:`ProvenanceDomain` yields Boolean how-provenance.  Scan,
+filter, project, hash join and semijoin run on columnar batches
+(:mod:`repro.engine.columnar`) under every domain, with an annotation column
+under all but the Set domain.  There are two plan flavours: the Set domain
+runs the full pipeline, order-sensitive domains the pushdown-only plan.  The ``evaluate()`` and ``annotate()``
 facades in :mod:`repro.ra.evaluator` and :mod:`repro.provenance.annotate`
 are thin wrappers over this package.
 

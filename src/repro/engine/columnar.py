@@ -1,39 +1,42 @@
-"""Columnar batches: column-wise execution of the Set domain's hot path.
+"""Columnar batches: the executor's scan, filter, project, join and semijoin.
 
 A :class:`ColumnBatch` holds the distinct rows of an intermediate result in
-first-seen order — exactly the key order of the row-at-a-time executor's
-``dict[Values, annotation]`` — with per-column value lists materialized
-lazily, so filters touch only the columns their predicates read.  The batch
-converts to the dict representation on demand (:meth:`ColumnBatch.to_mapping`)
-and the conversion is cached, so session memos can hold either representation
-interchangeably and every downstream consumer (set operations, aggregation,
-the public facade) sees the same rows in the same order as before.
+first-seen order, with per-column value lists materialized lazily, so
+filters touch only the columns their predicates read.  The batch converts to
+the annotated-dict representation the remaining (dict) operators and the
+public facades consume on demand (:meth:`ColumnBatch.to_mapping`), and the
+conversion is cached, so session memos can hold either representation
+interchangeably.
 
-Only scan, filter, project, hash join and semijoin are lowered — the
-operators dominating warm grading workloads — and only under the Set domain:
-provenance and other order-sensitive domains keep the per-dict row path,
-whose annotation folding order is part of their contract.
+These five operators run under every annotation domain.  Under the Set
+domain a batch carries no annotations at all (every row is simply present)
+and the inner loops stay bare; under any other domain it carries one
+annotation per row, folded exactly as the reference provenance interpreter
+(:mod:`repro.engine.reference`) folds them — the scan, projections and
+``keep_right`` joins plus-fold in first-seen order and joins multiply
+``times(left, right)`` whatever the build side — because Boolean provenance
+keeps operand order.
 
-Correctness notes, load-bearing for the differential fuzzer:
+Correctness notes, load-bearing for the differential fuzzers:
 
 * predicates that can raise (parameters, division, ill-typed ordered
-  comparisons) are evaluated row-at-a-time with the exact closure the dict
-  path uses, so *which* row raises first — and therefore which error a
-  student sees — is unchanged;
+  comparisons) are evaluated row-at-a-time with the whole compiled
+  predicate, so *which* row raises first — and therefore which error a
+  student sees — matches the reference interpreter;
 * non-raising conjuncts are applied column-at-a-time in conjunct order,
   which filters the same rows the per-row ``And`` short-circuit does;
 * every conjunct is compiled before any is applied, so unknown-attribute
-  errors surface even on empty inputs, like the dict path's up-front
-  predicate compilation;
+  errors surface even on empty inputs;
 * join outputs are deduplicated (first-seen) only when column-dropping can
-  fold rows (``keep_right``), mirroring the dict path's plus-fold.
+  fold rows (``keep_right``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.catalog.instance import Values
+from repro.catalog.instance import Relation, Values
+from repro.engine.domains import SET_DOMAIN, AnnotationDomain
 from repro.engine.logical import (
     FilterOp,
     JoinOp,
@@ -54,59 +57,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class ColumnBatch:
     """Distinct rows in first-seen order, with lazy per-column views.
 
-    Invariants: rows are distinct, and their order is exactly the insertion
-    order the row-at-a-time dict path would produce for the same plan.
-    ``annotations`` is ``None`` when every row carries the domain's "present"
-    annotation (always the case under the Set domain, the only domain lowered
-    to columnar execution); otherwise it is a list parallel to the rows.
+    Invariants: rows are distinct, in the insertion order the annotated-dict
+    representation has.  ``annotations`` is ``None`` under the Set domain;
+    under any other domain it is a list parallel to the rows.
     """
 
-    __slots__ = ("width", "annotations", "_rows", "_mapping", "_columns")
+    __slots__ = ("annotations", "_rows", "_mapping", "_columns")
 
     def __init__(
         self,
-        width: int,
-        *,
-        rows: "list[Values] | None" = None,
-        mapping: "dict[Values, Any] | None" = None,
+        rows: "list[Values]",
         annotations: "list[Any] | None" = None,
+        mapping: "dict[Values, Any] | None" = None,
     ) -> None:
-        self.width = width
         self.annotations = annotations
         self._rows = rows
         self._mapping = mapping
         self._columns: dict[int, list] = {}
 
-    @classmethod
-    def from_rows(
-        cls, width: int, rows: "list[Values]", annotations: "list[Any] | None" = None
-    ) -> "ColumnBatch":
-        return cls(width, rows=rows, annotations=annotations)
-
-    @classmethod
-    def from_mapping(cls, mapping: "dict[Values, Any]") -> "ColumnBatch":
-        rows = list(mapping)
-        width = len(rows[0]) if rows else 0
-        annotations = None
-        if any(annotation is not True for annotation in mapping.values()):
-            annotations = list(mapping.values())
-        return cls(width, rows=rows, mapping=mapping, annotations=annotations)
-
     def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
-        return len(self._mapping)  # type: ignore[arg-type]
+        return len(self._rows)
 
     def rows(self) -> "list[Values]":
-        if self._rows is None:
-            self._rows = list(self._mapping)  # type: ignore[arg-type]
         return self._rows
 
     def column(self, index: int) -> list:
         """The values of one column, materialized lazily and cached."""
         cached = self._columns.get(index)
         if cached is None:
-            cached = [row[index] for row in self.rows()]
+            cached = [row[index] for row in self._rows]
             self._columns[index] = cached
         return cached
 
@@ -114,9 +93,9 @@ class ColumnBatch:
         """The equivalent annotated row dict (cached; treat as read-only)."""
         if self._mapping is None:
             if self.annotations is None:
-                self._mapping = dict.fromkeys(self.rows(), True)
+                self._mapping = dict.fromkeys(self._rows, True)
             else:
-                self._mapping = dict(zip(self.rows(), self.annotations))
+                self._mapping = dict(zip(self._rows, self.annotations))
         return self._mapping
 
 
@@ -127,11 +106,70 @@ def as_mapping(result: "dict[Values, Any] | ColumnBatch") -> "dict[Values, Any]"
     return result.to_mapping()
 
 
+def _folded_batch(folded: "dict[Values, Any]") -> ColumnBatch:
+    return ColumnBatch(list(folded), list(folded.values()))
+
+
+def _plus_fold(
+    pairs: "Iterable[tuple[Values, Any]]", domain: AnnotationDomain
+) -> "dict[Values, Any]":
+    """``{row: annotation}`` with repeated rows plus-folded in first-seen order."""
+    folded: dict[Values, Any] = {}
+    for row, annotation in pairs:
+        existing = folded.get(row)
+        folded[row] = annotation if existing is None else domain.plus(existing, annotation)
+    return folded
+
+
+def _tuple_pairs(entries, domain: AnnotationDomain):
+    return ((values, domain.of_tuple(tid)) for tid, values in entries)
+
+
+def index_table(
+    relation: Relation,
+    key: tuple[int, ...],
+    domain: AnnotationDomain,
+    wanted: "Iterable[tuple] | None" = None,
+) -> dict:
+    """Build-side table served from a relation's maintained hash index.
+
+    Maps each join key (only those in ``wanted`` when given) to the distinct
+    rows carrying it in first-seen order — bare rows under the Set domain,
+    ``(row, annotation)`` pairs with duplicate rows plus-folded otherwise.
+    """
+    index = relation.hash_index(key)
+    if wanted is None:
+        items: Iterable = index.items()
+    else:
+        items = ((k, index[k]) for k in wanted if k in index)
+    if domain is SET_DOMAIN:
+        return {k: list(dict.fromkeys(values for _, values in entries)) for k, entries in items}
+    return {
+        k: list(_plus_fold(_tuple_pairs(entries, domain), domain).items())
+        for k, entries in items
+    }
+
+
 def _child_batch(executor: "PlanExecutor", plan: PlanNode) -> ColumnBatch:
     result = executor.run_cached(plan)
     if isinstance(result, ColumnBatch):
         return result
-    return ColumnBatch.from_mapping(result)
+    # A dict operator's result (union, difference, aggregate, ...): its
+    # values are annotations exactly when the domain is not Set.
+    annotations = None if executor.domain is SET_DOMAIN else list(result.values())
+    return ColumnBatch(list(result), annotations, result)
+
+
+def _select(batch: ColumnBatch, selected: "list[int]") -> ColumnBatch:
+    """The rows (and annotations) of ``batch`` at the ``selected`` positions."""
+    if len(selected) == len(batch):
+        return batch
+    rows = batch.rows()
+    annotations = batch.annotations
+    return ColumnBatch(
+        [rows[s] for s in selected],
+        None if annotations is None else [annotations[s] for s in selected],
+    )
 
 
 def _index_of(schema, name: str) -> int:
@@ -165,14 +203,27 @@ def execute_columnar(executor: "PlanExecutor", plan: PlanNode) -> ColumnBatch:
 
 def _scan(executor: "PlanExecutor", plan: ScanOp) -> ColumnBatch:
     relation = executor.instance.relation(plan.relation)
-    rows = list(dict.fromkeys(values for _, values in relation.tuples()))
-    return ColumnBatch.from_rows(relation.schema.arity, rows)
+    domain = executor.domain
+    if domain is SET_DOMAIN:
+        return ColumnBatch(list(dict.fromkeys(values for _, values in relation.tuples())))
+    return _folded_batch(_plus_fold(_tuple_pairs(relation.tuples(), domain), domain))
 
 
 # A conjunct applier maps (batch, selected row positions | None, params) to
 # the surviving row positions; ``None`` means "all rows" and lets the first
 # conjunct skip building an index list.
 _ConjunctFn = Callable[[ColumnBatch, "list[int] | None", Any], "list[int]"]
+
+
+def _row_applier(predicate, schema) -> _ConjunctFn:
+    keep = compile_predicate(predicate, schema)
+
+    def generic(batch, selected, params):
+        rows = batch.rows()
+        positions = range(len(rows)) if selected is None else selected
+        return [s for s in positions if keep(rows[s], params)]
+
+    return generic
 
 
 def _compile_conjunct(conjunct, schema) -> _ConjunctFn:
@@ -222,66 +273,55 @@ def _compile_conjunct(conjunct, schema) -> _ConjunctFn:
                 ]
 
             return column_column
-    keep = compile_predicate(conjunct, schema)
-
-    def generic(batch, selected, params):
-        rows = batch.rows()
-        positions = range(len(rows)) if selected is None else selected
-        return [s for s in positions if keep(rows[s], params)]
-
-    return generic
+    return _row_applier(conjunct, schema)
 
 
 def _filter(executor: "PlanExecutor", plan: FilterOp) -> ColumnBatch:
     batch = _child_batch(executor, plan.child)
     if predicate_can_raise(plan.predicate, plan.schema):
-        # Row-at-a-time with the dict path's exact closure: which row raises
-        # first (and therefore which error the caller sees) must not change.
-        keep = compile_predicate(plan.predicate, plan.schema)
-        params = executor.params
-        rows = [row for row in batch.rows() if keep(row, params)]
-        if len(rows) == len(batch):
-            return batch
-        return ColumnBatch.from_rows(batch.width, rows)
-    # Compile every conjunct before applying any: the dict path compiles the
-    # whole predicate up front, so e.g. unknown attributes raise even when
-    # the input is empty or an earlier conjunct filters everything out.
-    appliers = [_compile_conjunct(c, plan.schema) for c in plan.predicate.conjuncts()]
+        # Row-at-a-time over the whole predicate: which row raises first (and
+        # therefore which error the caller sees) must not change.
+        appliers = [_row_applier(plan.predicate, plan.schema)]
+    else:
+        # Compile every conjunct before applying any, so e.g. unknown
+        # attributes raise even when the input is empty or an earlier
+        # conjunct filters everything out.
+        appliers = [_compile_conjunct(c, plan.schema) for c in plan.predicate.conjuncts()]
     selected: "list[int] | None" = None
     params = executor.params
     for apply_conjunct in appliers:
         selected = apply_conjunct(batch, selected, params)
         if not selected:
             break
-    if selected is None or len(selected) == len(batch):
-        return batch
-    rows = batch.rows()
-    return ColumnBatch.from_rows(batch.width, [rows[s] for s in selected])
+    return batch if selected is None else _select(batch, selected)
 
 
 def _project(executor: "PlanExecutor", plan: ProjectOp) -> ColumnBatch:
     batch = _child_batch(executor, plan.child)
     extract = key_function(plan.indexes)
-    rows = list(dict.fromkeys(map(extract, batch.rows())))
-    return ColumnBatch.from_rows(len(plan.indexes), rows)
+    if batch.annotations is None:
+        return ColumnBatch(list(dict.fromkeys(map(extract, batch.rows()))))
+    pairs = zip(map(extract, batch.rows()), batch.annotations)
+    return _folded_batch(_plus_fold(pairs, executor.domain))
 
 
-def _build_table(
-    executor: "PlanExecutor", plan: PlanNode, key: tuple[int, ...]
-) -> "dict[tuple, list[Values]]":
-    """Build-side hash table: key tuple → distinct rows in first-seen order."""
+def _build_table(executor: "PlanExecutor", plan: PlanNode, key: tuple[int, ...]) -> dict:
+    """Build-side hash table: key tuple → its rows (or ``(row, annotation)``
+    pairs outside the Set domain) in first-seen order."""
     if isinstance(plan, ScanOp):
         if executor.analyzer is not None:
             executor.analyzer.note(from_index=True)
-        index = executor.instance.relation(plan.relation).hash_index(key)
-        return {
-            key_values: list(dict.fromkeys(values for _, values in entries))
-            for key_values, entries in index.items()
-        }
+        relation = executor.instance.relation(plan.relation)
+        return index_table(relation, key, executor.domain)
     extract = key_function(key)
-    table: dict[tuple, list[Values]] = {}
-    for row in _child_batch(executor, plan).rows():
-        table.setdefault(extract(row), []).append(row)
+    table: dict[tuple, list] = {}
+    batch = _child_batch(executor, plan)
+    if batch.annotations is None:
+        for row in batch.rows():
+            table.setdefault(extract(row), []).append(row)
+    else:
+        for pair in zip(batch.rows(), batch.annotations):
+            table.setdefault(extract(pair[0]), []).append(pair)
     return table
 
 
@@ -299,6 +339,8 @@ def _hash_join(executor: "PlanExecutor", plan: JoinOp) -> ColumnBatch:
     residual = [compile_predicate(p, plan.schema) for p in plan.residual]
     params = executor.params
     keep_right = plan.keep_right
+    if probe.annotations is not None:
+        return _annotated_join(executor.domain, plan, table, probe, extract, residual, params)
     out: list[Values] = []
     for probe_row in probe.rows():
         matches = table.get(extract(probe_row))
@@ -320,7 +362,33 @@ def _hash_join(executor: "PlanExecutor", plan: JoinOp) -> ColumnBatch:
         # Dropping shared columns can fold distinct input pairs onto one
         # output row; full concatenation (keep_right None) never can.
         out = list(dict.fromkeys(out))
-    return ColumnBatch.from_rows(plan.schema.arity, out)
+    return ColumnBatch(out)
+
+
+def _annotated_join(domain, plan, table, probe, extract, residual, params) -> ColumnBatch:
+    """The hash join's probe loop for batches that carry annotations."""
+    build_left = plan.build_left
+    keep_right = plan.keep_right
+    out: dict[Values, Any] = {}
+    for probe_row, probe_a in zip(probe.rows(), probe.annotations):
+        matches = table.get(extract(probe_row))
+        if not matches:
+            continue
+        for build_row, build_a in matches:
+            if build_left:
+                left_row, left_a, right_row, right_a = build_row, build_a, probe_row, probe_a
+            else:
+                left_row, left_a, right_row, right_a = probe_row, probe_a, build_row, build_a
+            if keep_right is None:
+                combined = left_row + right_row
+            else:
+                combined = left_row + tuple(right_row[i] for i in keep_right)
+            if residual and not all(p(combined, params) for p in residual):
+                continue
+            annotation = domain.times(left_a, right_a)
+            existing = out.get(combined)
+            out[combined] = annotation if existing is None else domain.plus(existing, annotation)
+    return _folded_batch(out)
 
 
 def _semi_join(executor: "PlanExecutor", plan: SemiJoinOp) -> ColumnBatch:
@@ -333,7 +401,9 @@ def _semi_join(executor: "PlanExecutor", plan: SemiJoinOp) -> ColumnBatch:
         extract_right = key_function(plan.right_key)
         keys = {extract_right(row) for row in _child_batch(executor, plan.right).rows()}
     extract = key_function(plan.left_key)
+    if left.annotations is not None:
+        return _select(left, [s for s, row in enumerate(left.rows()) if extract(row) in keys])
     rows = [row for row in left.rows() if extract(row) in keys]
     if len(rows) == len(left):
         return left
-    return ColumnBatch.from_rows(left.width, rows)
+    return ColumnBatch(rows)

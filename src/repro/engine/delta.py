@@ -5,7 +5,10 @@ session used to throw away *every* cached result.  This module implements
 the alternative from Berkholz et al.'s work on answering queries under
 updates: patch the memoized annotated row sets of the **Set domain** in
 place, operator by operator, so the cost of a small edit is proportional to
-the delta (plus the touched subplans), not to the database.
+the delta (plus the touched subplans), not to the database.  Every Set
+annotation reads "present", so the rules work on bare rows and share the
+executor's helpers: the hash-index build table of
+:mod:`repro.engine.columnar` and :func:`~repro.engine.physical.aggregate_groups`.
 
 The maintenance contract:
 
@@ -35,7 +38,7 @@ from typing import Any, Mapping, MutableMapping
 
 from repro.catalog.delta import Delta
 from repro.catalog.instance import DatabaseInstance, Values
-from repro.engine.columnar import as_mapping
+from repro.engine.columnar import as_mapping, index_table
 from repro.engine.domains import SET_DOMAIN
 from repro.engine.logical import (
     AggregateOp,
@@ -48,7 +51,7 @@ from repro.engine.logical import (
 )
 from repro.engine.physical import (
     PlanExecutor,
-    apply_aggregate,
+    aggregate_groups,
     compile_predicate,
     key_function,
     plan_memo_key,
@@ -238,16 +241,10 @@ class DeltaMaintainer:
         if child_delta is None:
             return executor._execute(plan)
         added, removed = child_delta
-        domain = SET_DOMAIN
         extract = key_function(plan.indexes)
         new = dict(old)
         for row in added:
-            projected = extract(row)
-            existing = new.get(projected)
-            annotation = child_post[row]
-            new[projected] = (
-                annotation if existing is None else domain.plus(existing, annotation)
-            )
+            new[extract(row)] = True
         doomed = {extract(row) for row in removed}
         doomed -= {extract(row) for row in added}
         if doomed:
@@ -268,37 +265,22 @@ class DeltaMaintainer:
     def _rows_by_key(
         self, child: PlanNode, post: AnnotatedRows, key: tuple[int, ...], wanted: set
     ) -> dict:
-        """``{join key -> [(row, annotation), ...]}`` restricted to ``wanted``.
+        """``{join key -> [row, ...]}`` restricted to ``wanted``.
 
-        A bare base-relation scan is answered from the relation's cached hash
-        index (maintained incrementally by the catalog), so the unchanged
-        side of a join costs one dict lookup per touched key instead of a
-        pass over the memoized rows.
+        A bare base-relation scan is answered from the relation's maintained
+        hash index, folded like a columnar join's build table, so the
+        unchanged side of a join costs one dict lookup per touched key
+        instead of a pass over the memoized rows.
         """
-        domain = SET_DOMAIN
-        groups: dict = {}
         if isinstance(child, ScanOp):
-            index = self.instance.relation(child.relation).hash_index(key)
-            for key_values in wanted:
-                entries = index.get(key_values)
-                if not entries:
-                    continue
-                folded: dict[Values, Any] = {}
-                for tid, values in entries:
-                    annotation = domain.of_tuple(tid)
-                    existing = folded.get(values)
-                    folded[values] = (
-                        annotation
-                        if existing is None
-                        else domain.plus(existing, annotation)
-                    )
-                groups[key_values] = list(folded.items())
-            return groups
+            relation = self.instance.relation(child.relation)
+            return index_table(relation, key, SET_DOMAIN, wanted)
         extract = key_function(key)
-        for row, annotation in post.items():
+        groups: dict = {}
+        for row in post:
             key_values = extract(row)
             if key_values in wanted:
-                groups.setdefault(key_values, []).append((row, annotation))
+                groups.setdefault(key_values, []).append(row)
         return groups
 
     def _patch_join(self, plan, params, old, executor, touched):
@@ -306,7 +288,6 @@ class DeltaMaintainer:
         right_post, right_delta = self._child_state(plan.right, params, executor, touched)
         if left_delta is None or right_delta is None:
             return executor._execute(plan)
-        domain = SET_DOMAIN
         left_key = key_function(plan.left_key)
         right_key = key_function(plan.right_key)
         affected = {left_key(row) for rows in left_delta for row in rows}
@@ -324,21 +305,15 @@ class DeltaMaintainer:
             right_rows = right_groups.get(key_values)
             if not right_rows:
                 continue
-            for left_row, left_a in left_rows:
-                for right_row, right_a in right_rows:
+            for left_row in left_rows:
+                for right_row in right_rows:
                     if keep_right is None:
                         combined = left_row + right_row
                     else:
                         combined = left_row + tuple(right_row[i] for i in keep_right)
                     if residual and not all(p(combined, params) for p in residual):
                         continue
-                    annotation = domain.times(left_a, right_a)
-                    existing = new.get(combined)
-                    new[combined] = (
-                        annotation
-                        if existing is None
-                        else domain.plus(existing, annotation)
-                    )
+                    new[combined] = True
         return new
 
     def _patch_aggregate(self, plan, params, old, executor, touched):
@@ -348,43 +323,11 @@ class DeltaMaintainer:
         added, removed = child_delta
         if not added and not removed:
             return dict(old)
-        domain = SET_DOMAIN
         extract = key_function(plan.group_indexes)
         touched_keys = {extract(row) for rows in (added, removed) for row in rows}
         width = len(plan.group_indexes)
         new = {row: a for row, a in old.items() if row[:width] not in touched_keys}
-        groups: dict[tuple, list[Values]] = {}
-        annotations: dict[tuple, Any] = {}
-        for row, annotation in child_post.items():
-            key = extract(row)
-            if key not in touched_keys:
-                continue
-            members = groups.get(key)
-            if members is None:
-                groups[key] = [row]
-                annotations[key] = annotation
-            else:
-                members.append(row)
-                annotations[key] = domain.plus(annotations[key], annotation)
-        for key, members in groups.items():
-            computed = []
-            for spec, index in plan.aggregates:
-                if index < 0:
-                    computed.append(len(members))
-                else:
-                    computed.append(
-                        apply_aggregate(
-                            spec.func,
-                            [row[index] for row in members if row[index] is not None],
-                        )
-                    )
-            output_row = key + tuple(computed)
-            annotation = annotations[key]
-            existing = new.get(output_row)
-            new[output_row] = (
-                annotation if existing is None else domain.plus(existing, annotation)
-            )
-        return new
+        return aggregate_groups(plan, child_post.items(), SET_DOMAIN, new, touched_keys)
 
 
 __all__ = ["DeltaMaintainer", "plan_scan_relations"]

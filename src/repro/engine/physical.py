@@ -1,25 +1,25 @@
-"""Physical operators: domain-generic execution of compiled plans.
+"""Plan execution: one operator set, generic over the annotation domain.
 
-Every operator consumes and produces an *annotated row set* — an
-insertion-ordered ``dict[Values, annotation]`` whose keys are the distinct
-rows (set semantics) and whose values live in the executing
+Every operator produces an *annotated row set*: the distinct rows of its
+result in first-seen order, each with an annotation in the executing
 :class:`~repro.engine.domains.AnnotationDomain`.  Running a plan under
 :data:`~repro.engine.domains.SET_DOMAIN` yields exactly the rows of the
 classic evaluator; under :data:`~repro.engine.domains.PROVENANCE_DOMAIN` the
-same code yields Boolean how-provenance.
+same operators yield Boolean how-provenance.
 
-Two row-level optimisations live here: predicates are compiled into closures
-with attribute positions resolved once (instead of a name lookup per row),
-and hash joins build their table from the base relation's cached
-:meth:`~repro.catalog.instance.Relation.hash_index` when the build side is a
-bare scan.
+Scan, filter, project, hash join and semijoin run on the batches of
+:mod:`repro.engine.columnar` under every domain (annotation-free under the
+Set domain).  Cross product, union, difference, intersection and
+aggregation, which have no columnar lowering, live here and work on the
+``dict[Values, annotation]`` form of their inputs.  Predicates are compiled
+into closures with attribute positions resolved once.
 """
 
 from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Any, Callable, Mapping, MutableMapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, MutableMapping, Sequence
 
 from repro.catalog.instance import DatabaseInstance, Values
 from repro.catalog.schema import RelationSchema
@@ -55,7 +55,6 @@ from repro.ra.predicates import (
 )
 
 ParamValues = Mapping[str, Any]
-AnnotatedRows = "dict[Values, Any]"
 
 #: Error message kept byte-identical with the historical provenance evaluator.
 AGGREGATION_NOT_SUPPORTED = (
@@ -193,6 +192,48 @@ def apply_aggregate(func: AggregateFunction, values: Sequence[Any]) -> Any:
     raise QueryEvaluationError(f"unsupported aggregate function {func}")  # pragma: no cover
 
 
+def aggregate_groups(
+    plan: AggregateOp,
+    pairs: "Iterable[tuple[Values, Any]]",
+    domain: AnnotationDomain,
+    out: "dict[Values, Any]",
+    only: "set[tuple] | None" = None,
+) -> "dict[Values, Any]":
+    """Group annotated rows by ``plan``'s key and add one output row per group.
+
+    The group's annotation is the plus-fold of its members' in input order;
+    ``only`` restricts the work to those group keys (the delta maintainer's
+    touched groups).  Returns ``out``.
+    """
+    extract = key_function(plan.group_indexes)
+    groups: dict[tuple, list[Values]] = {}
+    annotations: dict[tuple, Any] = {}
+    for row, annotation in pairs:
+        key = extract(row)
+        if only is not None and key not in only:
+            continue
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [row]
+            annotations[key] = annotation
+        else:
+            members.append(row)
+            annotations[key] = domain.plus(annotations[key], annotation)
+    for key, members in groups.items():
+        computed = []
+        for spec, index in plan.aggregates:
+            if index < 0:
+                computed.append(len(members))
+            else:
+                values = [row[index] for row in members if row[index] is not None]
+                computed.append(apply_aggregate(spec.func, values))
+        output_row = key + tuple(computed)
+        existing = out.get(output_row)
+        annotation = annotations[key]
+        out[output_row] = annotation if existing is None else domain.plus(existing, annotation)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Executor
 # ---------------------------------------------------------------------------
@@ -254,13 +295,14 @@ def plan_memo_key(
 class PlanExecutor:
     """Executes a plan over one instance under one annotation domain.
 
-    ``memo`` maps ``(plan, relevant params)`` to finished annotated row sets;
-    because plan nodes compare structurally, equal subplans — within one
-    query or across queries in a session — are computed once.  The params
+    ``memo`` maps ``(plan, relevant params)`` to finished results (column
+    batches or annotated row dicts); because plan nodes compare structurally,
+    equal subplans — within one query or across queries in a session — are
+    computed once.  The params
     part of the key is the restriction of the parameter binding to the
     parameters the subplan actually references, so param-independent subplans
-    (all scans, most joins) are shared across bindings.  Returned dicts are
-    shared with the memo, so operators never mutate their inputs.
+    (all scans, most joins) are shared across bindings.  Results are shared
+    with the memo, so operators never mutate their inputs.
     """
 
     def __init__(
@@ -278,9 +320,6 @@ class PlanExecutor:
         self.domain = domain
         self.memo = memo
         self.param_refs = {} if param_refs is None else param_refs
-        # Columnar batches carry no annotation structure, so the Set domain
-        # runs the columnar operators and every other domain the dict ones.
-        self.columnar = domain.name == "set"
         # Optional EXPLAIN ANALYZE hook (repro.obs.analyze.PlanAnalyzer):
         # run_cached calls its enter/exit around every operator execution,
         # so it times and row-counts them without a memo protocol of its own.
@@ -321,20 +360,10 @@ class PlanExecutor:
     # -- dispatch ------------------------------------------------------------
 
     def _execute(self, plan: PlanNode):
-        if self.columnar and isinstance(plan, _COLUMNAR_NODES):
+        if isinstance(plan, _COLUMNAR_NODES):
             from repro.engine.columnar import execute_columnar
 
             return execute_columnar(self, plan)
-        if isinstance(plan, ScanOp):
-            return self._scan(plan)
-        if isinstance(plan, FilterOp):
-            return self._filter(plan)
-        if isinstance(plan, ProjectOp):
-            return self._project(plan)
-        if isinstance(plan, JoinOp):
-            return self._hash_join(plan)
-        if isinstance(plan, SemiJoinOp):
-            return self._semi_join(plan)
         if isinstance(plan, CrossOp):
             return self._cross(plan)
         if isinstance(plan, UnionOp):
@@ -348,120 +377,6 @@ class PlanExecutor:
         raise QueryEvaluationError(f"unsupported plan node {type(plan).__name__}")
 
     # -- operators -----------------------------------------------------------
-
-    def _scan(self, plan: ScanOp) -> "dict[Values, Any]":
-        domain = self.domain
-        out: dict[Values, Any] = {}
-        for tid, values in self.instance.relation(plan.relation).tuples():
-            annotation = domain.of_tuple(tid)
-            existing = out.get(values)
-            out[values] = annotation if existing is None else domain.plus(existing, annotation)
-        return out
-
-    def _filter(self, plan: FilterOp) -> "dict[Values, Any]":
-        keep = compile_predicate(plan.predicate, plan.schema)
-        params = self.params
-        return {row: a for row, a in self.run(plan.child).items() if keep(row, params)}
-
-    def _project(self, plan: ProjectOp) -> "dict[Values, Any]":
-        domain = self.domain
-        extract = key_function(plan.indexes)
-        out: dict[Values, Any] = {}
-        for row, annotation in self.run(plan.child).items():
-            projected = extract(row)
-            existing = out.get(projected)
-            out[projected] = (
-                annotation if existing is None else domain.plus(existing, annotation)
-            )
-        return out
-
-    def _build_table(
-        self, plan: PlanNode, key: tuple[int, ...]
-    ) -> "dict[tuple, list[tuple[Values, Any]]]":
-        """Group the build input by join key, folding duplicate rows.
-
-        A bare base-relation scan uses the instance's cached hash index, so
-        repeated joins on the same key skip the grouping pass entirely.
-        """
-        domain = self.domain
-        table: dict[tuple, list[tuple[Values, Any]]] = {}
-        if isinstance(plan, ScanOp):
-            if self.analyzer is not None:
-                self.analyzer.note(from_index=True)
-            index = self.instance.relation(plan.relation).hash_index(key)
-            for key_values, entries in index.items():
-                folded: dict[Values, Any] = {}
-                for tid, values in entries:
-                    annotation = domain.of_tuple(tid)
-                    existing = folded.get(values)
-                    folded[values] = (
-                        annotation if existing is None else domain.plus(existing, annotation)
-                    )
-                table[key_values] = list(folded.items())
-            return table
-        extract = key_function(key)
-        for row, annotation in self.run(plan).items():
-            table.setdefault(extract(row), []).append((row, annotation))
-        return table
-
-    def _hash_join(self, plan: JoinOp) -> "dict[Values, Any]":
-        domain = self.domain
-        params = self.params
-        build_left = plan.build_left
-        if build_left:
-            table = self._build_table(plan.left, plan.left_key)
-            probe_rows = self.run(plan.right)
-            probe_key = key_function(plan.right_key)
-        else:
-            table = self._build_table(plan.right, plan.right_key)
-            probe_rows = self.run(plan.left)
-            probe_key = key_function(plan.left_key)
-        residual = [compile_predicate(p, plan.schema) for p in plan.residual]
-        keep_right = plan.keep_right
-        out: dict[Values, Any] = {}
-        for probe_row, probe_annotation in probe_rows.items():
-            matches = table.get(probe_key(probe_row))
-            if not matches:
-                continue
-            for build_row, build_annotation in matches:
-                if build_left:
-                    left_row, left_a = build_row, build_annotation
-                    right_row, right_a = probe_row, probe_annotation
-                else:
-                    left_row, left_a = probe_row, probe_annotation
-                    right_row, right_a = build_row, build_annotation
-                if keep_right is None:
-                    combined = left_row + right_row
-                else:
-                    combined = left_row + tuple(right_row[i] for i in keep_right)
-                if residual and not all(p(combined, params) for p in residual):
-                    continue
-                annotation = domain.times(left_a, right_a)
-                existing = out.get(combined)
-                out[combined] = (
-                    annotation if existing is None else domain.plus(existing, annotation)
-                )
-        return out
-
-    def _semi_join(self, plan: SemiJoinOp) -> "dict[Values, Any]":
-        """Keep left rows (annotations untouched) with a match on the right.
-
-        The right side contributes nothing but a key set, so a bare scan is
-        answered straight from the relation's cached hash index.
-        """
-        if isinstance(plan.right, ScanOp):
-            if self.analyzer is not None:
-                self.analyzer.note(from_index=True)
-            keys = self.instance.relation(plan.right.relation).hash_index(plan.right_key)
-        else:
-            extract_right = key_function(plan.right_key)
-            keys = {extract_right(row) for row in self.run(plan.right)}
-        extract = key_function(plan.left_key)
-        return {
-            row: annotation
-            for row, annotation in self.run(plan.left).items()
-            if extract(row) in keys
-        }
 
     def _cross(self, plan: CrossOp) -> "dict[Values, Any]":
         domain = self.domain
@@ -517,35 +432,4 @@ class PlanExecutor:
         domain = self.domain
         if not domain.supports_aggregation:
             raise NotApplicableError(AGGREGATION_NOT_SUPPORTED)
-        extract = key_function(plan.group_indexes)
-        groups: dict[tuple, list[Values]] = {}
-        annotations: dict[tuple, Any] = {}
-        for row, annotation in self.run(plan.child).items():
-            key = extract(row)
-            members = groups.get(key)
-            if members is None:
-                groups[key] = [row]
-                annotations[key] = annotation
-            else:
-                members.append(row)
-                annotations[key] = domain.plus(annotations[key], annotation)
-        out: dict[Values, Any] = {}
-        for key, members in groups.items():
-            computed = []
-            for spec, index in plan.aggregates:
-                if index < 0:
-                    computed.append(len(members))
-                else:
-                    computed.append(
-                        apply_aggregate(
-                            spec.func,
-                            [row[index] for row in members if row[index] is not None],
-                        )
-                    )
-            output_row = key + tuple(computed)
-            existing = out.get(output_row)
-            annotation = annotations[key]
-            out[output_row] = (
-                annotation if existing is None else domain.plus(existing, annotation)
-            )
-        return out
+        return aggregate_groups(plan, self.run(plan.child).items(), domain, {})

@@ -22,15 +22,16 @@ differentially patches set-domain entries over touched relations (see
 relation appeared/disappeared) does the session fall back to the historical
 wholesale invalidation.
 
-Each plan comes in one of two flavours, picked by the executing domain.  The
-Set domain runs the full pipeline (pushdown, semijoin reduction of FK joins,
-the hash-join build-side choice) on columnar operators.  Provenance (and any
+Each plan comes in one of two flavours, picked by the executing domain; both
+run on the same operators (columnar batches, annotated under every domain
+but Set).  The Set domain runs the full pipeline (pushdown, semijoin
+reduction of FK joins, the hash-join build-side choice).  Provenance (and any
 other *order-sensitive* annotation domain, see
 :attr:`~repro.engine.domains.AnnotationDomain.order_sensitive`) runs the
-pushdown-only "logical" plan on the dict operators: flipping a build side
-reorders how Boolean annotations are folded and would change their structure,
-while selection movement only ever *filters* annotated rows, so this flavour
-stays bit-identical to the reference provenance evaluator (asserted by
+pushdown-only "logical" plan: flipping a build side reorders how Boolean
+annotations are folded and would change their structure, while selection
+movement only ever *filters* annotated rows, so this flavour stays
+bit-identical to the reference provenance evaluator (asserted by
 ``tests/test_provenance_engine_path.py``).
 
 Sessions are **thread-safe**: a reentrant lock serializes plan compilation

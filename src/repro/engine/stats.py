@@ -25,7 +25,7 @@ class PlanStats:
     output column: the estimated number of distinct values in that column, or
     ``None`` when the estimator cannot track the column through the operator
     (e.g. an aggregate output).  ``len(ndv)`` doubles as the plan's output
-    arity, which the columnar executor uses to size its batches.
+    arity (:attr:`width`).
     """
 
     rows: float

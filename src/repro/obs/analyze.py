@@ -1,10 +1,10 @@
 """EXPLAIN ANALYZE: per-operator runtime instrumentation for the plan engine.
 
 A :class:`PlanAnalyzer` hooks into :meth:`PlanExecutor.run_cached` — the
-single choke point every operator (python-dict and columnar alike) funnels
-through — and records, per plan node execution: wall time, actual output
+single choke point every operator (the batch operators and the dict set
+operations alike) funnels through — and records, per plan node execution: wall time, actual output
 rows, whether the result came from the session memo (cache attribution),
-whether the columnar pipeline produced it, and whether a hash-index fast
+whether a batch operator produced it, and whether a hash-index fast
 path served a build side.  The records form a tree mirroring the executed plan.
 
 :class:`ExplainAnalysis` then joins those actuals against
@@ -156,7 +156,7 @@ class PlanAnalyzer:
     def note(self, **attrs: Any) -> None:
         """Attach extra attributes to the operator currently executing.
 
-        The hash-index fast paths in ``physical.py``/``columnar.py`` call
+        The hash-index fast paths in ``columnar.py`` call
         this with ``from_index=True`` when a join build side was served from
         a prebuilt relation index instead of being materialized.
         """

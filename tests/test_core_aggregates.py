@@ -140,6 +140,31 @@ class TestAggOpt:
         assert result.verified
         assert result.algorithm in ("agg-basic", "agg-param")
 
+    def test_fallback_after_failed_retries_keeps_the_session(
+        self, instance, q1_avg, q2_avg, monkeypatch
+    ):
+        # Every candidate fails re-validation, so Algorithm 3 exhausts its
+        # retries and hands over to Agg-Basic, which must reuse the session's
+        # warm caches instead of re-evaluating both queries cold.
+        import repro.core.aggregates as aggregates
+        from repro.engine.session import EngineSession
+
+        monkeypatch.setattr(aggregates, "_validate_on_counterexample", lambda *a, **k: False)
+        monkeypatch.setattr(aggregates, "_find_parameter_setting", lambda *a, **k: None)
+        calls = []
+        sentinel = object()
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return sentinel
+
+        monkeypatch.setattr(aggregates, "smallest_counterexample_agg_basic", spy)
+        session = EngineSession(instance)
+        result = smallest_counterexample_agg_opt(q1_avg, q2_avg, instance, session=session)
+        assert result is sentinel
+        assert len(calls) == 1
+        assert calls[0]["session"] is session
+
 
 class TestHelpers:
     def test_is_aggregate_pair(self, q1_avg, example1_q1):

@@ -473,6 +473,13 @@ class TestSemijoinReduction:
         rows = EngineSession(instance).evaluate(query).rows
         assert rows == _reference_rows(query, instance)
         assert rows
+        # The semijoin only filters: provenance through it is unchanged.
+        from repro.engine.domains import PROVENANCE_DOMAIN
+        from repro.engine.physical import PlanExecutor
+
+        exact = PlanExecutor(instance, {}, PROVENANCE_DOMAIN, {}).run(plan)
+        reduced_rows = PlanExecutor(instance, {}, PROVENANCE_DOMAIN, {}).run(reduced)
+        assert list(reduced_rows.items()) == list(exact.items())
 
 
 class TestColumnarExecution:
@@ -496,13 +503,50 @@ class TestColumnarExecution:
         # (and the provenance bit-compatibility story) rely on it.
         assert list(set_rows) == list(dict_rows)
 
-    def test_provenance_results_are_plain_dicts(self, instance):
+    def test_provenance_results_are_annotated_batches(self, instance):
+        from repro.engine import ColumnBatch
         from repro.engine.domains import PROVENANCE_DOMAIN
         from repro.engine.physical import PlanExecutor
+        from repro.engine.reference import ReferenceProvenanceEvaluator
 
-        plan = compile_plan(_cs_students(), instance.schema)
-        executor = PlanExecutor(instance, {}, PROVENANCE_DOMAIN, {})
-        assert type(executor.run_cached(plan)) is dict
+        query = _cs_students()
+        plan = compile_plan(query, instance.schema)
+        result = PlanExecutor(instance, {}, PROVENANCE_DOMAIN, {}).run_cached(plan)
+        assert isinstance(result, ColumnBatch)
+        assert len(result.annotations) == len(result.rows()) > 0
+        mapping = result.to_mapping()
+        reference = ReferenceProvenanceEvaluator(instance, {}).annotated(query)
+        assert list(mapping) == list(reference)
+        assert [str(a) for a in mapping.values()] == [str(a) for a in reference.values()]
+
+    def test_empty_relation_feeding_provenance_join_and_difference(self, instance):
+        from repro.engine.reference import ReferenceProvenanceEvaluator
+
+        empty = DatabaseInstance(instance.schema)
+        for _tid, values in instance.relation("Student").tuples():
+            empty.insert("Student", values)
+        students = rename_prefix(relation("Student"), "s")
+        registered = rename_prefix(relation("Registration"), "r")
+        no_names = difference(
+            project(registered, ["r.name"]), project(students, ["s.name"])
+        )
+        queries = [
+            theta_join(students, registered, eq("s.name", "r.name")),
+            theta_join(registered, students, eq("r.name", "s.name")),
+            no_names,
+            project(no_names, ["r.name"]),
+            theta_join(no_names, students, eq("r.name", "s.name")),
+            theta_join(students, no_names, eq("s.name", "r.name")),
+        ]
+        session = EngineSession(empty)
+        for query in queries:
+            _, rows = session.annotated_rows(query)
+            assert rows == {}
+            assert ReferenceProvenanceEvaluator(empty, {}).annotated(query) == {}
+        _, kept = session.annotated_rows(
+            difference(project(students, ["s.name"]), project(registered, ["r.name"]))
+        )
+        assert len(kept) == len(instance.relation("Student"))
 
 
 class TestProvenanceDomainViaEngine:

@@ -8,9 +8,13 @@ perturbed instances through three independent evaluators:
 * the plan-based engine on the SQLite backend,
 
 and additionally round-trip through the DSL parser (``to_dsl`` → ``parse``).
-All four row sets must be identical.  On failure the assertion message is a
-reproduction one-liner: the seed, the query's DSL text, and any parameter
-binding — paste it into ``QueryFuzzer.query(seed)`` or the CLI to replay.
+All four row sets must be identical.  Every query without aggregation is also
+annotated with Boolean how-provenance by the engine and by the reference
+provenance interpreter: same rows in the same order, the same rendering of
+every annotation, and the same error class when either side raises.  On
+failure the assertion message is a reproduction one-liner: the seed, the
+query's DSL text, and any parameter binding — paste it into
+``QueryFuzzer.query(seed)`` or the CLI to replay.
 
 ``REPRO_FUZZ_BUDGET`` scales the per-instance query budget (default 300;
 CI's smoke job uses a small value).  The ``slow``-marked extended run only
@@ -28,9 +32,11 @@ from repro.catalog.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.catalog.types import DataType
 from repro.datagen import toy_beers_instance, toy_university_instance
 from repro.datagen.tpch import tpch_instance
-from repro.engine.reference import ReferenceEvaluator
+from repro.engine.reference import ReferenceEvaluator, ReferenceProvenanceEvaluator
 from repro.engine.session import EngineSession
+from repro.errors import ReproError
 from repro.parser import parse_query
+from repro.ra.ast import GroupBy
 from repro.workload.fuzz import QueryFuzzer, perturb_instance
 
 pytestmark = pytest.mark.fuzz
@@ -86,6 +92,31 @@ def _instances() -> list[tuple[str, DatabaseInstance]]:
     ]
 
 
+def _provenance_outcome(annotate):
+    """``[(row, str(annotation)), ...]`` in row order, or the error class."""
+    try:
+        rows = annotate()
+    except ReproError as exc:
+        return type(exc)
+    return [(row, str(annotation)) for row, annotation in rows.items()]
+
+
+def _assert_provenance_agrees(session: EngineSession, instance, fuzz_query) -> None:
+    """The engine's provenance equals the reference interpreter's, bit for bit."""
+    expression, params = fuzz_query.expression, fuzz_query.params
+    if any(isinstance(node, GroupBy) for node in expression.walk()):
+        return  # Boolean how-provenance does not cover aggregation
+    engine = _provenance_outcome(lambda: session.annotated_rows(expression, params)[1])
+    reference = _provenance_outcome(
+        lambda: ReferenceProvenanceEvaluator(instance, params).annotated(expression)
+    )
+    assert engine == reference, (
+        f"provenance disagrees — reproduce with: {fuzz_query.repro()}\n"
+        f"  reference: {reference if isinstance(reference, type) else len(reference)}\n"
+        f"  engine:    {engine if isinstance(engine, type) else len(engine)}"
+    )
+
+
 def _run_differential(instance: DatabaseInstance, budget: int, *, start: int = 0) -> dict:
     fuzzer = QueryFuzzer(instance.schema, instance=instance)
     python_session = EngineSession(instance)
@@ -106,6 +137,7 @@ def _run_differential(instance: DatabaseInstance, budget: int, *, start: int = 0
             f"  sqlite:    {len(sqlite)} rows\n"
             f"  reparsed:  {len(reparsed)} rows"
         )
+        _assert_provenance_agrees(python_session, instance, fuzz_query)
     return sqlite_session.stats
 
 
@@ -137,7 +169,8 @@ def test_differential_fuzz_join_heavy(label, instance):
     The join-heavy generator feeds the exact shapes the optimizer rewrites
     (join chains whose conjuncts sink, FK joins eligible for semijoin
     reduction) through three evaluators: the optimized Python engine,
-    SQLite, and the reference interpreter — plus a DSL re-parse.
+    SQLite, and the reference interpreter — plus a DSL re-parse and the
+    provenance comparison against the reference provenance interpreter.
     """
     budget = _budget()
     fuzzer = QueryFuzzer(
@@ -161,6 +194,7 @@ def test_differential_fuzz_join_heavy(label, instance):
             f"  sqlite:    {len(via_sqlite)} rows\n"
             f"  reparsed:  {len(reparsed)} rows"
         )
+        _assert_provenance_agrees(optimized, instance, fuzz_query)
 
 
 def test_join_heavy_mode_reaches_deep_fk_joins():
