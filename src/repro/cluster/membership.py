@@ -1,8 +1,8 @@
 """Peer liveness for the grading cluster: heartbeats, states, the live ring.
 
-This is the :mod:`repro.server.workers` watchdog pattern promoted to cluster
-level.  Inside one daemon, a watchdog thread polls worker processes and
-respawns the dead; across daemons, :class:`ClusterMembership` polls peers
+Inside one daemon, the :mod:`repro.server.workers` collector sees a worker
+process die the moment its pipe or sentinel fires, and respawns it; across
+daemons there is no such signal, so :class:`ClusterMembership` polls peers
 over HTTP (``GET /v1/cluster/health``) and routes around the dead.
 
 Membership is deliberately static-plus-liveness, not gossip: the peer *set*
@@ -132,8 +132,8 @@ class ClusterMembership:
                 pass
 
     def _heartbeat_loop(self) -> None:
-        # Same contract as the worker watchdog: the sweep must survive any
-        # single failure, or liveness detection silently stops.
+        # Same contract as the worker pool's collector: the sweep must
+        # survive any single failure, or liveness detection silently stops.
         while not self._stop.wait(self.heartbeat_interval):
             try:
                 self.probe_once()

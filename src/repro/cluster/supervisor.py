@@ -2,9 +2,9 @@
 
 ``repro cluster`` uses :class:`ClusterSupervisor` to spawn one ``repro serve``
 subprocess per shard, all sharing the same ``name=url`` peer map, and then
-watches them the way the in-daemon watchdog watches worker processes: a shard
-that dies is logged and (optionally) respawned on the same name and port, so
-placement is untouched by the restart.
+watches them the way the in-daemon worker pool watches its worker processes:
+a shard that dies is logged and (optionally) respawned on the same name and
+port, so placement is untouched by the restart.
 
 The supervisor is also the harness for failure drills: :meth:`kill_shard`
 SIGKILLs one daemon mid-run — no drain, no goodbye — which is exactly the

@@ -163,9 +163,7 @@ class EngineSession:
 
     def _check_version(self) -> None:
         self._reconcile_versions()
-        cached_rows = sum(
-            len(rows) for memo in self._results.values() for rows in memo.values()
-        )
+        cached_rows = sum(memo.weight for memo in self._results.values())
         if cached_rows > self.max_cached_rows:
             for memo in self._results.values():
                 memo.clear()
@@ -284,7 +282,11 @@ class EngineSession:
     def _memo(self, domain: AnnotationDomain) -> LRUCache:
         memo = self._results.get(domain.name)
         if memo is None:
-            memo = self._results[domain.name] = LRUCache(self.max_cached_results)
+            # Weighed by row count: ``_check_version`` reads the memo's rows
+            # on every execute() and must not walk the entries to count them.
+            memo = self._results[domain.name] = LRUCache(
+                self.max_cached_results, weigh=len
+            )
         return memo
 
     def _plan(self, expression: RAExpression, domain: AnnotationDomain) -> PlanNode:

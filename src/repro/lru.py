@@ -16,7 +16,7 @@ double-checked lookups that would otherwise double-count).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 class LRUCache:
@@ -26,11 +26,21 @@ class LRUCache:
     next insertion.  A bound of ``None`` (or a negative value) disables
     eviction.  Reads through :meth:`get` refresh recency and update the
     ``hits``/``misses`` counters; evictions update ``evictions``.
+
+    With ``weigh`` (say ``len``), ``weight`` is the running sum of
+    ``weigh(value)`` over the entries, kept up to date on every insert,
+    replace, eviction, delete and clear, so reading it is O(1).  Each entry's
+    weight is taken when it is stored.
     """
 
-    def __init__(self, max_entries: int | None = None) -> None:
+    def __init__(
+        self, max_entries: int | None = None, *, weigh: Callable[[Any], int] | None = None
+    ) -> None:
         self.max_entries = max_entries
         self._data: dict[Any, Any] = {}
+        self._weigh = weigh
+        self._weights: dict[Any, int] = {}
+        self.weight = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -56,14 +66,20 @@ class LRUCache:
     def __setitem__(self, key: Any, value: Any) -> None:
         self._data.pop(key, None)
         self._data[key] = value
+        if self._weigh is not None:
+            weight = self._weigh(value)
+            self.weight += weight - self._weights.pop(key, 0)
+            self._weights[key] = weight
         if self.max_entries is not None and self.max_entries >= 0:
             while len(self._data) > self.max_entries:
                 oldest = next(iter(self._data))
                 del self._data[oldest]
+                self.weight -= self._weights.pop(oldest, 0)
                 self.evictions += 1
 
     def __delitem__(self, key: Any) -> None:
         del self._data[key]
+        self.weight -= self._weights.pop(key, 0)
 
     def __contains__(self, key: Any) -> bool:
         return key in self._data
@@ -86,6 +102,8 @@ class LRUCache:
     def clear(self) -> None:
         """Drop every entry (counters are cumulative and survive clears)."""
         self._data.clear()
+        self._weights.clear()
+        self.weight = 0
 
     def stats(self) -> dict[str, int]:
         return {

@@ -12,7 +12,8 @@ Request lifecycle for ``POST /v1/grade``::
                                       grade locally after probing peers'
                                       stores ("store": "remote_hit")
       → bounded queue check (429 Retry-After on overload, 503 while draining)
-      → route to the worker owning this dataset (cache locality)
+      → route to the worker owning this dataset (cache locality), over
+        that worker's own pipe; the pool's collector thread reads the reply
       → store the deterministic envelope, respond ("store": "miss")
 
 ``/v1/grade_batch`` runs the same path per item over a small thread pool,
@@ -25,6 +26,11 @@ bounded pool — which replaced the earlier thread-per-connection
 ``ThreadingHTTPServer`` (whose throughput *fell* from 16 to 64 keep-alive
 clients; see ``benchmarks/bench_cluster_load.py``).
 
+A worker that dies (OOM kill, stray signal) is seen the moment its pipe reads
+EOF or its sentinel fires: its in-flight grades answer ``internal_error``, and
+it is respawned on a fresh pipe after replaying the pool's dataset edits (kept
+in memory only: a daemon restart starts from the unedited datasets).
+
 Shutdown (SIGTERM/SIGINT under ``repro serve``, or :meth:`GradingServer.shutdown`)
 drains gracefully: new grading work is refused with 503, in-flight grades
 finish and are stored, then workers, the HTTP listener and the store close.
@@ -34,8 +40,9 @@ by failure drills to stand in for SIGKILL.
 Everything observable is exported on ``/metrics`` in Prometheus text format:
 request counts by endpoint/status, store and coalescing hit counts,
 per-stage latency histograms (store lookup, queue wait, grading, store
-write, total), queue depth, watchdog health, and — when clustered —
-forward/fallback/coalesce counters, live-ring size and per-peer states.
+write, total), queue depth, worker restarts and collector errors, and —
+when clustered — forward/fallback/coalesce counters, live-ring size and
+per-peer states.
 """
 
 from __future__ import annotations
@@ -85,6 +92,11 @@ _CACHEABLE_ERROR_KINDS = frozenset(
     {None, "parse_error", "schema_error", "evaluation_error", "no_counterexample"}
 )
 
+#: Threads fanning one ``/v1/grade_batch`` body out over the pool, and the
+#: bound on *running* HTTP handlers (connections are cheap under the event
+#: loop; handler threads are the real resource).
+_BATCH_THREADS, _HTTP_THREADS = 16, 32
+
 
 def compute_retry_after(depth: int, workers: int, grade_seconds: float) -> int:
     """Retry-After (seconds) for a 429: when should a queue slot exist?
@@ -121,14 +133,8 @@ class ServerConfig:
     request_timeout: float = 300.0
     #: How long shutdown waits for in-flight grades before forcing the issue.
     drain_timeout: float = 30.0
-    #: Threads used to fan one ``/v1/grade_batch`` body out over the pool.
-    batch_threads: int = 16
     #: Hard bound on items per batch request.
     max_batch_size: int = 10_000
-    mp_context: str = "spawn"
-    #: Bound on concurrently *running* request handlers (connections are
-    #: cheap under the event loop; handler threads are the real resource).
-    http_threads: int = 32
     #: Log one line per request to stderr (quiet by default: tests/benchmarks).
     verbose: bool = False
     #: Root spans (whole requests) slower than this land in the slow-request
@@ -174,7 +180,6 @@ class GradingServer:
             ),
             workers=self.config.workers,
             max_queue=self.config.max_queue,
-            mp_context=self.config.mp_context,
         )
         self.membership: ClusterMembership | None = None
         self.forwarder: Forwarder | None = None
@@ -203,7 +208,7 @@ class GradingServer:
         #: EWMA of observed grade seconds, feeding Retry-After estimates.
         self._grade_ewma = 0.0
         self._batch_pool = ThreadPoolExecutor(
-            max_workers=self.config.batch_threads, thread_name_prefix="repro-batch"
+            max_workers=_BATCH_THREADS, thread_name_prefix="repro-batch"
         )
         self.traces = TraceStore(max_traces=self.config.trace_max_traces)
         self.tracer = Tracer(
@@ -220,7 +225,7 @@ class GradingServer:
         self._httpd = EventLoopHTTPServer(
             (self.config.host, self.config.port),
             self._dispatch,
-            handler_threads=self.config.http_threads,
+            handler_threads=_HTTP_THREADS,
             server_name=f"repro-serve/{repro.__version__}",
         )
         self.host, self.port = self._httpd.server_address[:2]
@@ -290,8 +295,8 @@ class GradingServer:
         )
         metrics.gauge(
             "repro_server_watchdog_errors",
-            "Watchdog sweeps that raised and were survived — nonzero means "
-            "worker liveness checking is degraded.",
+            "Worker-pool collector errors survived (e.g. a respawn that raised, "
+            "retried every 0.5s) — nonzero means worker supervision is degraded.",
             callback=lambda: self.pool.watchdog_errors,
         )
         metrics.histogram(
@@ -590,7 +595,7 @@ class GradingServer:
     def handle_datasets_mutate(self, payload: Any) -> tuple[int, dict[str, Any]]:
         """Apply an edit stream to a dataset on every worker (and purge grades).
 
-        The edits are broadcast through each worker's task queue, so every
+        The edits are broadcast through each worker's pipe, so every
         worker's copy of the dataset absorbs them in its own request order
         and the warm engine sessions maintain their caches differentially
         (the reply carries each worker's ``delta`` counter increments).
@@ -1031,12 +1036,12 @@ class GradingServer:
         return clean
 
     def _maybe_persist(self, key: StoreKey, envelope: Mapping[str, Any]) -> None:
-        """Replicate-on-forward: keep remote grades in the local store slice.
+        """Store a deterministic grade without the submitter's id (routing, not content).
 
-        The next identical submission here is then a plain local hit, and the
-        grade survives the remote peer's death — the cluster's only form of
-        replication, and all it needs (grades are deterministic, so any copy
-        is as authoritative as any other).
+        Remote grades are kept too (replicate-on-forward): the next identical
+        submission here is a plain local hit, and the grade survives the
+        remote peer's death — the cluster's only replication, and all it
+        needs, since grades are deterministic.
         """
         error_kind = (envelope.get("outcome") or {}).get("error_kind")
         if error_kind in _CACHEABLE_ERROR_KINDS:
@@ -1098,13 +1103,7 @@ class GradingServer:
             if sink is not None:
                 sink.extend(spans)
             self._ingest_spans(spans)
-        error_kind = (reply.get("outcome") or {}).get("error_kind")
-        if error_kind in _CACHEABLE_ERROR_KINDS:
-            # The submitter's id is routing, not grade content — strip it so
-            # a store hit never echoes back someone else's submission id.
-            write_started = perf_counter()
-            self.store.put(key, {**reply, "id": None})
-            self._observe("store_write", perf_counter() - write_started)
+        self._maybe_persist(key, reply)
         return 200, reply, grade_time
 
     # -- the HTTP dispatcher (runs on the event loop's handler pool) ---------

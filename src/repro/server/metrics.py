@@ -29,7 +29,8 @@ LATENCY_BUCKETS = (
 )
 
 
-def _label_key(labels: Labels) -> tuple[tuple[str, str], ...]:
+def label_key(labels: Labels) -> tuple[tuple[str, str], ...]:
+    """The series key of a label set (gauge callbacks return these)."""
     if not labels:
         return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -147,17 +148,17 @@ class MetricsRegistry:
     # -- updates -------------------------------------------------------------
 
     def inc(self, name: str, labels: Labels = None, value: float = 1.0) -> None:
-        key = _label_key(labels)
+        key = label_key(labels)
         with self._lock:
             series = self._counters[name]
             series[key] = series.get(key, 0.0) + value
 
     def set(self, name: str, value: float, labels: Labels = None) -> None:
         with self._lock:
-            self._gauges[name][_label_key(labels)] = value
+            self._gauges[name][label_key(labels)] = value
 
     def observe(self, name: str, value: float, labels: Labels = None) -> None:
-        key = _label_key(labels)
+        key = label_key(labels)
         with self._lock:
             series = self._histograms[name]
             histogram = series.get(key)
@@ -167,7 +168,7 @@ class MetricsRegistry:
 
     def counter_value(self, name: str, labels: Labels = None) -> float:
         with self._lock:
-            return self._counters[name].get(_label_key(labels), 0.0)
+            return self._counters[name].get(label_key(labels), 0.0)
 
     # -- rendering -----------------------------------------------------------
 
@@ -251,11 +252,6 @@ class MetricsRegistry:
             lines.append(f"{name}_sum{_render_labels(key)} {_format(total)}")
             lines.append(f"{name}_count{_render_labels(key)} {count}")
         return lines
-
-
-def label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
-    """Public helper for gauge callbacks that return labelled series."""
-    return _label_key(labels)
 
 
 __all__ = ["LATENCY_BUCKETS", "MetricsRegistry", "label_key"]

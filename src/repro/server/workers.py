@@ -9,13 +9,14 @@ processes and runs — so all traffic for one dataset lands on the worker
 whose caches are already hot for it, instead of every worker slowly warming
 every dataset.
 
-The parent communicates over multiprocessing queues: one task queue per
-worker (routing is a queue choice), one shared result queue drained by a
-collector thread that resolves per-request futures.  Workers never die on a
-bad request — every exception becomes a grade envelope with an
-``error_kind`` — and a crashed worker (OOM, signal) is respawned on the next
-submission, with its in-flight requests failed as ``internal_error`` rather
-than hung.
+Each worker is spawned with its own duplex pipe; the parent keeps only its
+end, so a dead worker reads as EOF, not a hang.  Submitting threads write into
+a worker's pipe under its send lock; one collector thread waits on every pipe
+and process sentinel.  A worker's exit fails what it owed as
+``internal_error`` at once, and it is respawned on a fresh pipe after
+replaying, in order, every dataset edit the pool has broadcast (a daemon
+restart still starts from the unedited datasets).  A bad request never kills
+a worker: every exception becomes an envelope with an ``error_kind``.
 
 Backpressure is the parent's job: :meth:`WorkerPool.submit` refuses work
 (:class:`QueueFullError`, surfaced as HTTP 429) once ``max_queue`` requests
@@ -33,9 +34,11 @@ import threading
 import zlib
 from pathlib import Path
 from concurrent.futures import Future
-from dataclasses import dataclass
+from contextlib import suppress
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from time import monotonic, perf_counter
+from time import monotonic, perf_counter, sleep
 from typing import Any, Mapping
 
 from repro.api.serialization import SCHEMA_VERSION, outcome_to_dict
@@ -43,8 +46,10 @@ from repro.errors import ReproError
 
 log = logging.getLogger(__name__)
 
-#: Sentinel asking a worker to exit its loop after finishing queued work.
-_SHUTDOWN = None
+_SPAWN = multiprocessing.get_context("spawn")
+
+#: Least seconds between two starts of one worker; the collector's error pause.
+_RETRY_SECONDS = 0.5
 
 
 class QueueFullError(ReproError):
@@ -55,8 +60,7 @@ class QueueFullError(ReproError):
 class WorkerConfig:
     """Everything a worker process needs to build its grading service.
 
-    Must stay picklable (plain data only) so the pool works under both the
-    ``fork`` and ``spawn`` multiprocessing start methods.
+    Must stay picklable (plain data only): it is sent to every spawned worker.
     """
 
     backend: str = "python"
@@ -65,9 +69,6 @@ class WorkerConfig:
     #: Dataset specs resolved (instance built + session created) at worker
     #: startup, before any traffic — the per-spec warm-session guarantee.
     warm_datasets: tuple[str, ...] = ()
-    #: Reference queries evaluated through the warm sessions at startup via
-    #: :meth:`~repro.engine.session.EngineSession.warmup` (best-effort).
-    warm_queries: tuple[str, ...] = ()
 
 
 def grade_envelope(graded: "Any") -> dict[str, Any]:
@@ -109,10 +110,10 @@ def error_envelope(message: str, kind: str, payload: Mapping[str, Any] | None = 
 def _exit_with_parent() -> None:
     """End this worker as soon as the daemon that started it is gone.
 
-    The worker ignores SIGTERM and blocks on its task queue, so a daemon that
-    dies without sending the shutdown sentinel (SIGKILL, OOM) would leave it
-    orphaned forever.  A watcher thread blocks on the parent's sentinel, off
-    the grading path, and exits the process when it fires.
+    An idle worker sees EOF on its pipe when the daemon dies; a busy one reads
+    its pipe only after the grade, so a daemon SIGKILLed or OOM-killed would
+    leave it grading for nobody.  A watcher thread blocks on the parent's
+    sentinel, off the grading path, and exits the process when it fires.
     """
     parent = multiprocessing.parent_process()
     if parent is None:
@@ -125,11 +126,10 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, name="repro-worker-parent-watch", daemon=True).start()
 
 
-def _worker_main(worker_id: int, config: WorkerConfig, tasks: Any, results: Any) -> None:
-    """Worker process entry point: grade until the shutdown sentinel."""
-    # The parent coordinates shutdown through the task queue; stray terminal
-    # signals (Ctrl-C fans out to the process group) must not kill workers
-    # mid-grade.
+def _worker_main(worker_id: int, config: WorkerConfig, conn: Any, edits: tuple) -> None:
+    """Worker process entry point: apply ``edits``, then grade until told to stop."""
+    # Shutdown comes through the pipe; stray terminal signals (Ctrl-C fans
+    # out to the process group) must not kill a worker mid-grade.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     _exit_with_parent()
@@ -144,16 +144,20 @@ def _worker_main(worker_id: int, config: WorkerConfig, tasks: Any, results: Any)
         backend=config.backend,
     )
     for spec in dict.fromkeys((config.default_dataset, *config.warm_datasets)):
-        try:
-            handle = service.handle_for(spec)
-        except ReproError:
-            continue
-        if config.warm_queries:
-            handle.session.warmup(config.warm_queries)
+        with suppress(ReproError):
+            service.handle_for(spec)
+    # Edits broadcast before this process existed; one that failed then
+    # fails the same way now, and its reply went out long ago.
+    for payload in edits:
+        with suppress(Exception):
+            service.mutate(payload)
 
     while True:
-        item = tasks.get()
-        if item is _SHUTDOWN:
+        try:
+            item = conn.recv()
+        except EOFError:
+            break
+        if item is None:  # the pool is closing: everything before it is done
             break
         request_id, kind, payload, trace_ctx = item
         try:
@@ -171,27 +175,23 @@ def _worker_main(worker_id: int, config: WorkerConfig, tasks: Any, results: Any)
                     reply = {"worker": worker_id, **service.mutate(payload)}
                 except ReproError as exc:
                     reply = {"worker": worker_id, "error": str(exc)}
-            elif trace_ctx is not None:
-                # Traced grade: continue the parent's trace across the process
-                # boundary, collect every span (worker, grade phases, engine
-                # operators) and ship them back alongside the envelope.
-                parent = SpanContext.parse(trace_ctx.get("traceparent"))
-                started = perf_counter()
-                with tracer.capture() as spans, operator_trace(True), tracer.span(
-                    "worker.grade", parent=parent, attributes={"worker": worker_id}
-                ):
-                    graded = service.submit(payload)
-                reply = grade_envelope(graded)
-                reply["grade_time"] = perf_counter() - started
-                reply["trace_spans"] = spans
-                report = graded.outcome.report
-                if report is not None and report.result.timings:
-                    reply["explain_timings"] = dict(report.result.timings)
             else:
                 started = perf_counter()
-                graded = service.submit(payload)
+                if trace_ctx is None:
+                    graded = service.submit(payload)
+                else:
+                    # Traced grade: continue the parent's trace in this process,
+                    # collect every span (worker, grade phases, engine
+                    # operators) and ship them back alongside the envelope.
+                    parent = SpanContext.parse(trace_ctx.get("traceparent"))
+                    with tracer.capture() as spans, operator_trace(True), tracer.span(
+                        "worker.grade", parent=parent, attributes={"worker": worker_id}
+                    ):
+                        graded = service.submit(payload)
                 reply = grade_envelope(graded)
                 reply["grade_time"] = perf_counter() - started
+                if trace_ctx is not None:
+                    reply["trace_spans"] = spans
                 # The counterexample pipeline's phase split rides alongside
                 # the envelope, like grade_time: timings are non-deterministic
                 # and must never enter the stored/deduplicated grade itself.
@@ -202,7 +202,30 @@ def _worker_main(worker_id: int, config: WorkerConfig, tasks: Any, results: Any)
             kind_label = classify_error(exc)
             reply = error_envelope(str(exc) or repr(exc), kind_label, payload)
             reply["grade_time"] = 0.0
-        results.put((request_id, reply))
+        try:
+            conn.send((request_id, reply))
+        except OSError:  # the pool is gone
+            break
+
+
+@dataclass
+class _Worker:
+    """One worker process and the parent's end of its pipe."""
+
+    index: int
+    process: Any
+    conn: Any
+    #: Handler and batch threads submit concurrently; one message at a time.
+    send_lock: threading.Lock = field(default_factory=threading.Lock)
+    started: float = field(default_factory=monotonic)
+
+    def send(self, message: Any) -> None:
+        # A dead worker raises here; the collector fails what it owed.
+        try:
+            with self.send_lock:
+                self.conn.send(message)
+        except OSError:
+            pass
 
 
 class WorkerPool:
@@ -214,7 +237,6 @@ class WorkerPool:
         *,
         workers: int = 2,
         max_queue: int = 64,
-        mp_context: str = "spawn",
     ) -> None:
         if workers < 1:
             raise ReproError("worker pool needs at least one worker process")
@@ -226,136 +248,143 @@ class WorkerPool:
         self._spread_specs = frozenset(
             {self.config.default_dataset, *self.config.warm_datasets}
         )
-        # ``spawn`` (the default) re-imports :mod:`repro` in each worker — it
-        # is fork-safe under the threaded HTTP frontend, and cheap because
-        # the import totals ≈0.1s.
-        self._needs_pythonpath = mp_context in ("spawn", "forkserver")
-        self._ctx = multiprocessing.get_context(mp_context)
-        self._results = self._ctx.Queue()
-        self._tasks = [self._ctx.Queue() for _ in range(workers)]
-        self._procs: list[Any] = [None] * workers
         self._lock = threading.Lock()
         self._slot_freed = threading.Condition(self._lock)
         self._pending: dict[int, tuple[Future, int]] = {}  # id -> (future, worker)
-        # Stats probes ride the same queues but are tracked separately so a
-        # /metrics scrape never eats grading slots (spurious 429s) nor
-        # inflates the reported queue depth.
+        # Stats and mutate broadcasts ride the same pipes but are tracked
+        # separately so a /metrics scrape never eats grading slots (spurious
+        # 429s) nor inflates the reported queue depth.
         self._pending_stats: dict[int, tuple[Future, int]] = {}
+        #: Every edit payload broadcast so far, in order, for respawned workers.
+        self._edits: list[dict[str, Any]] = []
+        self._mutate_lock = threading.Lock()  # one edit broadcast at a time
         self._next_id = 0
         self._closed = False
-        self._stop = threading.Event()
         self.restarts = 0
-        #: Sweeps of the liveness watchdog that raised (and were survived).
-        #: Exposed as the ``repro_server_watchdog_errors`` gauge — a nonzero
-        #: value means liveness checking is degraded, not merely that a
-        #: worker died (that is ``restarts``).
+        #: Collector failures survived, such as a respawn that raised (the
+        #: ``repro_server_watchdog_errors`` gauge): nonzero means supervision
+        #: is degraded, not merely that a worker died (that is ``restarts``).
         self.watchdog_errors = 0
-        for index in range(workers):
-            self._spawn(index)
+        # Replaced only by the collector; ``None`` once reaped after close().
+        self._workers: list[_Worker | None] = [self._spawn(i) for i in range(workers)]
         self._collector = threading.Thread(
             target=self._collect, name="repro-pool-collector", daemon=True
         )
         self._collector.start()
-        # Without the watchdog, a worker dying mid-grade (OOM kill, stray
-        # signal) would leave its requests hanging until the HTTP timeout;
-        # with it they fail fast as internal errors and the worker respawns.
-        self._watchdog = threading.Thread(
-            target=self._watch, name="repro-pool-watchdog", daemon=True
-        )
-        self._watchdog.start()
 
     # -- lifecycle -----------------------------------------------------------
 
     #: Serializes the scoped PYTHONPATH edit across pools/threads.
     _spawn_env_lock = threading.Lock()
 
-    def _spawn(self, index: int) -> None:
-        process = self._ctx.Process(
+    def _spawn(self, index: int) -> _Worker:
+        """Start worker ``index`` on a fresh pipe, handing it the edits so far."""
+        conn, child_conn = _SPAWN.Pipe()
+        process = _SPAWN.Process(
             target=_worker_main,
-            args=(index, self.config, self._tasks[index], self._results),
+            args=(index, self.config, child_conn, tuple(self._edits)),
             name=f"repro-worker-{index}",
             daemon=True,
         )
-        if self._needs_pythonpath:
-            # Spawned children resolve :mod:`repro` via PYTHONPATH (the
-            # parent may have gotten it from sys.path manipulation instead).
-            # The child snapshots the environment during start(), so the
-            # edit is scoped to the call and restored — the host process's
-            # environment is not permanently mutated.
-            package_root = str(Path(__file__).resolve().parents[2])
-            with self._spawn_env_lock:
-                before = os.environ.get("PYTHONPATH")
-                entries = (before or "").split(os.pathsep) if before else []
-                try:
-                    if package_root not in entries:
-                        os.environ["PYTHONPATH"] = os.pathsep.join(
-                            [package_root, *entries]
-                        )
-                    process.start()
-                finally:
-                    if before is None:
-                        os.environ.pop("PYTHONPATH", None)
-                    else:
-                        os.environ["PYTHONPATH"] = before
-        else:
-            process.start()
-        self._procs[index] = process
-
-    def _ensure_alive(self, index: int) -> None:
-        """Respawn a dead worker; fail whatever was routed to it (caller holds lock)."""
-        process = self._procs[index]
-        if process.is_alive():
-            return
-        process.join(timeout=0.1)
-        self.restarts += 1
-        message = (
-            f"worker {index} died (exit code {process.exitcode}) and was restarted"
-        )
-        dead = [rid for rid, (_, worker) in self._pending.items() if worker == index]
-        for rid in dead:
-            future, _ = self._pending.pop(rid)
-            future.set_result(error_envelope(message, "internal_error"))
-        for rid in [
-            rid for rid, (_, worker) in self._pending_stats.items() if worker == index
-        ]:
-            future, _ = self._pending_stats.pop(rid)
-            future.set_result({"worker": index, "error": message})
-        if dead:
-            self._slot_freed.notify_all()
-        self._spawn(index)
-
-    def _watch(self, interval: float = 0.5) -> None:
-        # One bad sweep must not kill the thread: an unguarded exception here
-        # (e.g. a respawn failing under fd pressure) would silently end all
-        # liveness checking, leaving future worker deaths to hang requests
-        # until the HTTP timeout.  Count and log, never die.
-        while not self._stop.wait(interval):
+        # The child resolves :mod:`repro` via PYTHONPATH (the parent may have
+        # it from sys.path edits); start() snapshots it, so the edit is scoped.
+        package_root = str(Path(__file__).resolve().parents[2])
+        with self._spawn_env_lock:
+            before = os.environ.get("PYTHONPATH")
+            if package_root not in (before or "").split(os.pathsep):
+                os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, before]))
             try:
-                with self._lock:
-                    if self._closed:
-                        return
-                    for index in range(self.workers):
-                        self._ensure_alive(index)
-            except Exception:  # noqa: BLE001
-                self.watchdog_errors += 1
-                log.exception(
-                    "worker watchdog sweep failed (%d so far); continuing",
-                    self.watchdog_errors,
-                )
+                process.start()
+            finally:
+                # Only the child may hold its end: its exit must read as EOF.
+                child_conn.close()
+                if before is None:
+                    os.environ.pop("PYTHONPATH", None)
+                else:
+                    os.environ["PYTHONPATH"] = before
+        return _Worker(index, process, conn)
 
     def _collect(self) -> None:
+        """Resolve replies and replace dead workers until the pool is closed."""
         while True:
-            item = self._results.get()
-            if item is _SHUTDOWN:
-                break
-            request_id, reply = item
+            try:
+                live = [worker for worker in self._workers if worker is not None]
+                if not live:  # closed, and every worker reaped
+                    return
+                owners = {w.conn: w for w in live} | {w.process.sentinel: w for w in live}
+                for ready in wait(list(owners)):
+                    worker = owners[ready]
+                    if self._workers[worker.index] is not worker:
+                        continue  # its pipe and sentinel were both ready
+                    if ready is worker.conn and self._read_reply(worker):
+                        continue
+                    # EOF or exit: read what the worker sent before it died.
+                    while worker.conn.poll() and self._read_reply(worker):
+                        pass
+                    self._replace(worker)
+            except Exception:  # noqa: BLE001
+                # The collector is the pool's only supervisor: an unguarded
+                # exception would leave every later death to hang requests
+                # until the HTTP timeout.  Count and log, never die.
+                self.watchdog_errors += 1
+                log.exception("worker pool collector failed; continuing")
+                sleep(_RETRY_SECONDS)
+
+    def _read_reply(self, worker: _Worker) -> bool:
+        """Resolve the next reply in ``worker``'s pipe; ``False`` on EOF."""
+        try:
+            request_id, reply = worker.conn.recv()
+        except (EOFError, OSError):
+            return False
+        with self._lock:
+            entry = self._pending.pop(request_id, None)
+            entry = entry or self._pending_stats.pop(request_id, None)
+            self._slot_freed.notify_all()
+        if entry is not None:
+            entry[0].set_result(reply)
+        return True
+
+    def _replace(self, worker: _Worker) -> None:
+        """Reap an exited worker, fail what it owed and start its successor.
+
+        Starts are ``_RETRY_SECONDS`` apart, so neither a worker that dies at
+        startup nor a start that raises (fd or memory pressure; counted) spins
+        the collector.  A start holds the lock, so the successor's edit replay
+        and any concurrent broadcast agree on which edits it has.
+        """
+        worker.conn.close()
+        process = worker.process
+        process.kill()  # no-op once it has exited; its exit code stays
+        process.join()
+        message = f"worker {worker.index} died (exit code {process.exitcode}) and was restarted"
+        start_at = worker.started + _RETRY_SECONDS
+        while True:
             with self._lock:
-                entry = self._pending.pop(request_id, None)
-                if entry is None:
-                    entry = self._pending_stats.pop(request_id, None)
-                self._slot_freed.notify_all()
-            if entry is not None:
-                entry[0].set_result(reply)
+                if self._closed:  # close() answers what is left
+                    self._workers[worker.index] = None
+                    return
+                self._fail_owed(message, index=worker.index)
+                if monotonic() >= start_at:
+                    start_at = monotonic() + _RETRY_SECONDS
+                    try:
+                        self._workers[worker.index] = self._spawn(worker.index)
+                        self.restarts += 1
+                        return
+                    except Exception:  # noqa: BLE001
+                        self.watchdog_errors += 1
+                        log.exception("respawning worker %d failed; retrying", worker.index)
+            sleep(max(0.0, start_at - monotonic()))
+
+    def _fail_owed(self, message: str, kind: str = "internal_error", index: int | None = None) -> None:
+        """Answer what worker ``index`` (``None``: all) owes with an error; lock held."""
+        for pending, grade in ((self._pending, True), (self._pending_stats, False)):
+            for request_id, (future, owner) in list(pending.items()):
+                if index is None or owner == index:
+                    del pending[request_id]
+                    future.set_result(
+                        error_envelope(message, kind) if grade else {"worker": owner, "error": message}
+                    )
+        self._slot_freed.notify_all()
 
     def close(self, timeout: float = 10.0) -> None:
         """Drain-and-stop: workers finish queued grades, then exit."""
@@ -363,25 +392,17 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-        self._stop.set()
-        for queue in self._tasks:
-            queue.put(_SHUTDOWN)
-        deadline = monotonic() + timeout
-        for process in self._procs:
-            process.join(timeout=max(0.1, deadline - monotonic()))
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-        self._results.put(_SHUTDOWN)
-        self._collector.join(timeout=5.0)
+            workers = list(self._workers)
+        for worker in workers:
+            worker.send(None)
+        # The collector reaps the workers as they exit, then returns.
+        self._collector.join(timeout=timeout)
+        if self._collector.is_alive():
+            for worker in workers:
+                worker.process.terminate()
+            self._collector.join(timeout=5.0)
         with self._lock:
-            leftover = list(self._pending.values())
-            self._pending.clear()
-            self._pending_stats.clear()
-        for future, _ in leftover:
-            future.set_result(
-                error_envelope("server shut down before the grade finished", "unavailable")
-            )
+            self._fail_owed("server shut down before the grade finished", "unavailable")
 
     # -- submission ----------------------------------------------------------
 
@@ -416,15 +437,13 @@ class WorkerPool:
         wait_timeout: float = 60.0,
         trace: Mapping[str, Any] | None = None,
     ) -> Future:
-        """Enqueue one grading request; the future resolves to its envelope.
+        """Send one grading request; the future resolves to its envelope.
 
         ``wait=False`` (the ``/v1/grade`` path) raises :class:`QueueFullError`
         when ``max_queue`` requests are already in flight; ``wait=True`` (the
         batch path) blocks until a slot frees, up to ``wait_timeout``.
-
-        ``trace`` (a dict with a ``"traceparent"`` key, or ``None``) asks the
-        worker to trace the grade and return its spans in the reply under
-        ``"trace_spans"``.
+        ``trace`` (``{"traceparent": ...}``) asks the worker to trace the
+        grade and return its spans in the reply under ``"trace_spans"``.
         """
         future: Future = Future()
         with self._lock:
@@ -443,14 +462,12 @@ class WorkerPool:
                             f"grading queue stayed full for {wait_timeout:.0f}s"
                         )
                     self._slot_freed.wait(timeout=remaining)
-            worker = self._choose_worker(dataset, seed)
-            self._ensure_alive(worker)
+            index = self._choose_worker(dataset, seed)
+            worker = self._workers[index]
             request_id = self._next_id
             self._next_id += 1
-            self._pending[request_id] = (future, worker)
-        self._tasks[worker].put(
-            (request_id, "grade", dict(payload), None if trace is None else dict(trace))
-        )
+            self._pending[request_id] = (future, index)
+        worker.send((request_id, "grade", dict(payload), None if trace is None else dict(trace)))
         return future
 
     def queue_depth(self) -> int:
@@ -468,79 +485,64 @@ class WorkerPool:
                 self._slot_freed.wait(timeout=remaining)
         return True
 
-    # -- introspection -------------------------------------------------------
+    # -- broadcasts ----------------------------------------------------------
+
+    def _broadcast(
+        self, kind: str, payload: Mapping[str, Any], timeout: float
+    ) -> list[dict[str, Any]]:
+        """One request to every worker; a reply each (``error`` past ``timeout``).
+
+        An edit is journaled under the lock that picks the workers it goes
+        to, so each worker applies it once: from here, or on respawn.
+        """
+        message = dict(payload)
+        sends: list[tuple[int, int, Future, _Worker]] = []
+        with self._lock:
+            if self._closed:
+                raise ReproError("worker pool is shut down")
+            if kind == "mutate":
+                self._edits.append(message)
+            for index, worker in enumerate(self._workers):
+                future: Future = Future()
+                self._pending_stats[self._next_id] = (future, index)
+                sends.append((self._next_id, index, future, worker))
+                self._next_id += 1
+        for request_id, _index, _future, worker in sends:
+            worker.send((request_id, kind, message, None))
+        deadline = monotonic() + timeout
+        replies = []
+        for request_id, index, future, _worker in sends:
+            try:
+                replies.append(future.result(timeout=max(0.0, deadline - monotonic())))
+            except FutureTimeoutError:
+                log.debug("%s request to worker %d timed out", kind, index)
+                with self._lock:
+                    self._pending_stats.pop(request_id, None)
+                replies.append({"worker": index, "error": f"no reply within {timeout:g}s"})
+        return replies
 
     def mutate(self, payload: Mapping[str, Any], timeout: float = 30.0) -> list[dict[str, Any]]:
         """Broadcast one dataset edit stream to every worker; collect replies.
 
-        Rides the per-worker task queues *behind* any queued grades, so each
-        worker applies the edits at a deterministic point in its own request
-        order.  Unlike :meth:`stats`, replies are awaited strictly (a worker
-        that cannot confirm within ``timeout`` yields an ``error`` entry
-        instead of being skipped): callers must know whether every worker's
-        copy of the dataset mutated before trusting subsequent grades.
+        Edits go out one at a time, each behind the requests already in a
+        worker's pipe, so every worker and the replay list see one order.  A
+        worker that cannot confirm within ``timeout`` yields an ``error``
+        entry: callers must know every copy mutated before trusting grades.
         """
-        futures: list[tuple[int, int, Future]] = []
-        with self._lock:
-            if self._closed:
-                raise ReproError("worker pool is shut down")
-            for index in range(self.workers):
-                self._ensure_alive(index)
-                request_id = self._next_id
-                self._next_id += 1
-                future: Future = Future()
-                self._pending_stats[request_id] = (future, index)
-                futures.append((request_id, index, future))
-        for (request_id, index, _future) in futures:
-            self._tasks[index].put((request_id, "mutate", dict(payload), None))
-        deadline = monotonic() + timeout
-        replies: list[dict[str, Any]] = []
-        for request_id, index, future in futures:
-            try:
-                replies.append(future.result(timeout=max(0.0, deadline - monotonic())))
-            except Exception as exc:  # noqa: BLE001 — report, don't hang
-                with self._lock:
-                    self._pending_stats.pop(request_id, None)
-                replies.append(
-                    {"worker": index, "error": f"mutation not confirmed: {exc}"}
-                )
-        return replies
+        with self._mutate_lock:
+            return self._broadcast("mutate", payload, timeout)
 
     def stats(self, timeout: float = 2.0) -> list[dict[str, Any]]:
         """Cache statistics from every live worker (best-effort, bounded).
 
-        Stat probes ride the normal task queues, so they also measure that a
-        worker is responsive; a worker busy past ``timeout`` just reports
-        nothing this scrape.
+        Probes ride the normal pipes, so they also measure responsiveness: a
+        worker busy past ``timeout`` just reports nothing this scrape.
         """
-        futures: list[tuple[int, Future]] = []
-        with self._lock:
-            if self._closed:
-                return []
-            for index in range(self.workers):
-                self._ensure_alive(index)
-                request_id = self._next_id
-                self._next_id += 1
-                future: Future = Future()
-                self._pending_stats[request_id] = (future, index)
-                futures.append((request_id, future))
-        for (request_id, _), queue in zip(futures, self._tasks):
-            queue.put((request_id, "stats", None, None))
-        deadline = monotonic() + timeout
-        collected = []
-        for request_id, future in futures:
-            try:
-                reply = future.result(timeout=max(0.0, deadline - monotonic()))
-            except Exception:
-                # Best-effort by design (a busy worker just skips a scrape),
-                # but leave a trace instead of swallowing silently.
-                log.debug("stats probe %d timed out or failed", request_id, exc_info=True)
-                with self._lock:
-                    self._pending_stats.pop(request_id, None)
-                continue
-            if "registry" in reply:
-                collected.append(reply)
-        return collected
+        try:
+            replies = self._broadcast("stats", {}, timeout)
+        except ReproError:  # shut down
+            return []
+        return [reply for reply in replies if "registry" in reply]
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.api.registry import DatasetRegistry
+from repro.datagen import toy_university_instance
 from repro.engine.session import EngineSession
 from repro.lru import LRUCache
 from repro.parser.ra_parser import parse_query
@@ -33,6 +34,27 @@ class TestLRUCache:
             cache[index] = index
         assert len(cache) == 100
         assert cache.evictions == 0
+
+    def test_weight_follows_insert_replace_evict_delete_and_clear(self):
+        cache = LRUCache(2, weigh=len)
+        cache["a"] = [1, 2, 3]
+        cache["b"] = [1]
+        assert cache.weight == 4
+        cache["a"] = [1]  # replace
+        assert cache.weight == 2
+        cache["c"] = [1, 2]  # evicts "b"
+        assert cache.weight == 3
+        del cache["a"]
+        assert cache.weight == 2
+        cache.clear()
+        assert cache.weight == 0
+
+    def test_unweighed_cache_stays_at_zero(self):
+        cache = LRUCache(1)
+        cache["a"] = [1, 2]
+        cache["b"] = [1, 2]
+        del cache["b"]
+        assert cache.weight == 0
 
     def test_clear_keeps_cumulative_counters(self):
         cache = LRUCache(1)
@@ -85,6 +107,44 @@ class TestSessionResultMemoBound:
         )
         assert warmed == 2  # the unparsable query is skipped, not fatal
         assert session.cache_info()["cached_results"] >= 2
+
+
+class TestSessionRowTotal:
+    def test_running_total_matches_a_recount(self):
+        instance = toy_university_instance()
+        session = EngineSession(instance, max_cached_results=4)
+
+        def running() -> int:
+            return sum(memo.weight for memo in session._results.values())
+
+        def recount() -> int:
+            return sum(
+                len(rows) for memo in session._results.values() for rows in memo.values()
+            )
+
+        queries = [
+            parse_query(text)
+            for text in (
+                "Registration",
+                "\\project_{name} Registration",
+                "\\project_{name} \\select_{dept = 'ECON'} Registration",
+                "\\project_{name, major, dept} (Student \\join Registration)",
+                "\\project_{major} Student",
+            )
+        ]
+        for query in queries:
+            session.evaluate(query)
+            session.annotated_rows(query)  # provenance batches weigh in too
+        assert session.cache_info()["result_evictions"] >= 1
+        assert running() == recount() > 0
+
+        instance.insert_row("Registration", ("Jesse", "101", "ECON", 70))
+        session.evaluate(queries[2])
+        assert session.stats["delta_patched"] >= 1
+        assert running() == recount()
+
+        session.clear_cached_results()
+        assert running() == recount() == 0
 
 
 class TestRegistryHandleCounters:
