@@ -10,7 +10,12 @@ and 7):
   solver's search over FK-closed witnesses in order of size.  The paper's
   Z3-based version times out on TPC-H Q4/Q21; this search gives up (with a
   non-optimal witness) only when a group's smallest witness is too large
-  for its check budget.
+  for its check budget.  Like Optσ and Agg-Opt, it selects before it
+  annotates: the two concrete results name the differing groups, and only
+  the core rows that can form one of them are annotated
+  (``σ_{group ∈ differing}(core)``, pushed down; see
+  :func:`_scoped_to_groups`).  The whole core is annotated only when no
+  differing group yields a candidate.
 * :func:`smallest_counterexample_agg_basic` with ``parameterize=True`` —
   **Agg-Param**: constants compared against aggregates are replaced by free
   integer parameters (the SPCP of Definition 3), typically shrinking the
@@ -27,6 +32,7 @@ import itertools
 from typing import Any, Iterable, Mapping
 
 from repro.catalog.instance import DatabaseInstance, Values
+from repro.catalog.schema import DatabaseSchema, RelationSchema
 from repro.core.common import Stopwatch, finalize_result
 from repro.core.fk import foreign_key_clauses
 from repro.core.results import CounterexampleResult
@@ -40,17 +46,20 @@ from repro.provenance.aggregate import (
     AggConstraint,
     AggNot,
     AggregateAnnotation,
+    AggregateQueryForm,
     ValuesDiffer,
     agg_and,
     agg_or,
     annotate_aggregate_query,
     decompose_aggregate_query,
+    key_column_attributes,
 )
 from repro.ra.analysis import profile
-from repro.ra.ast import Difference, GroupBy, Projection, RAExpression
+from repro.ra.ast import Difference, GroupBy, Projection, RAExpression, Selection
 from repro.ra.evaluator import evaluate
 from repro.core.common import annotate_cached, evaluate_cached
 from repro.engine.session import EngineSession
+from repro.ra.predicates import Predicate, conj, disj, equals_constant
 from repro.ra.rewrite import (
     add_tuple_selection,
     expression_parameters,
@@ -123,21 +132,38 @@ def smallest_counterexample_agg_basic(
             )
 
     with stopwatch.measure("provenance"):
-        annotation1 = annotate_aggregate_query(query1, instance, original_params, session)
-        annotation2 = annotate_aggregate_query(query2, instance, original_params, session)
-        differing = _differing_keys(annotation1, result1, result2)
+        form1 = decompose_aggregate_query(query1, instance.schema)
+        form2 = decompose_aggregate_query(query2, instance.schema)
+        differing = _differing_keys(
+            form1.output_schema, tuple(key_column_attributes(form1)), result1, result2
+        )
+        # Annotate only the cores' rows that can form a differing group;
+        # each whole core stays the fallback below.
+        scoped1 = _scoped_to_groups(form1, differing, instance.schema)
+        scoped2 = _scoped_to_groups(form2, differing, instance.schema)
+        annotation1 = annotate_aggregate_query(
+            scoped1 or query1, instance, original_params, session
+        )
+        annotation2 = annotate_aggregate_query(
+            scoped2 or query2, instance, original_params, session
+        )
         candidates = [
             item for item in _group_constraints(annotation1, annotation2) if item[0] in differing
         ]
         if not candidates:
-            # Fall back to every candidate group (the differing key may only be
-            # reachable under a different parameter setting).
+            # Fall back to every group of the whole cores (the differing key
+            # may only be reachable under a different parameter setting).
+            if scoped1 is not None:
+                annotation1 = annotate_aggregate_query(query1, instance, original_params, session)
+            if scoped2 is not None:
+                annotation2 = annotate_aggregate_query(query2, instance, original_params, session)
             candidates = _group_constraints(annotation1, annotation2)
     if not candidates:
         raise CounterexampleError("no candidate group distinguishes the two queries")
 
-    # Cheapest candidate first (fewest tuple variables involved).
-    candidates.sort(key=lambda item: (len(item[1].variables()), item[0]))
+    # Cheapest candidate first (fewest tuple variables involved), then by key.
+    ranked = [(key, constraint, constraint.variables()) for key, constraint in candidates]
+    ranked.sort(key=lambda item: (len(item[2]), _nulls_last(item[0])))
 
     # The per-group constraint is an abstraction of "this group distinguishes
     # the two queries"; when the two queries group differently (a student
@@ -146,20 +172,18 @@ def smallest_counterexample_agg_basic(
     # and non-distinguishing groups are skipped — shipping an unverified
     # witness is exactly the failure mode the fuzz verifier exists to catch.
     best: tuple[Values, Any, dict[str, Any]] | None = None
-    timed_out = False
     with stopwatch.measure("solver"):
-        for key, constraint in candidates:
+        for key, constraint, variables in ranked:
             if best is not None and not all_groups:
                 break
             problem = AggregateProblem(constraint=constraint)
             problem.seed_parameters(original_params)
-            for clause in foreign_key_clauses(instance, constraint.variables()):
+            for clause in foreign_key_clauses(instance, variables):
                 problem.add_foreign_key(clause.child, clause.parents)
             try:
                 outcome = AggregateSolver(problem, solver_config).solve()
             except UnsatisfiableError:
                 continue
-            timed_out = timed_out or outcome.timed_out
             if outcome.timed_out and not outcome.true_variables:
                 continue
             candidate_params = dict(original_params)
@@ -191,9 +215,16 @@ def smallest_counterexample_agg_basic(
     )
 
 
-def _differing_keys(annotation1, result1, result2) -> set[Values]:
+def _nulls_last(key: Values) -> tuple:
+    """``key`` in its natural order, with NULLs (which compare with nothing) last."""
+    return tuple((value is None, 0 if value is None else value) for value in key)
+
+
+def _differing_keys(
+    schema: RelationSchema, key_columns: tuple[str, ...], result1, result2
+) -> set[Values]:
     """Group keys on which the two queries already differ on the full instance."""
-    key_indices = [annotation1.schema.index_of(name) for name in annotation1.key_columns]
+    key_indices = [schema.index_of(name) for name in key_columns]
 
     def rows_by_key(result) -> dict[Values, set[Values]]:
         grouped: dict[Values, set[Values]] = {}
@@ -207,6 +238,41 @@ def _differing_keys(annotation1, result1, result2) -> set[Values]:
         if grouped1.get(key) != grouped2.get(key):
             differing.add(key)
     return differing
+
+
+def _scoped_to_groups(
+    form: AggregateQueryForm, keys: set[Values], db: DatabaseSchema
+) -> RAExpression | None:
+    """The query with its core cut to rows that can form one of the groups ``keys``.
+
+    ``keys`` are tuples over the query's output key columns.  Each key column
+    that copies a grouping attribute adds the conjunct ``attr = v1 ∨ attr =
+    v2 ∨ …`` over the values it takes in ``keys``.  Every core row of a group
+    in ``keys`` passes, and a filter keeps the rows' first-seen order, so
+    each of those groups annotates exactly as on the whole core.  ``None``
+    when no column restricts: none maps to a grouping attribute, each one
+    takes a NULL (or NaN) value that ``=`` never matches, or the keys are
+    not over this query's key columns.
+    """
+    attributes = key_column_attributes(form)
+    if not keys or any(len(key) != len(attributes) for key in keys):
+        return None
+    ordered = sorted(keys, key=lambda k: tuple(str(v) for v in k))
+    conjuncts: list[Predicate] = []
+    for index, attribute in enumerate(attributes.values()):
+        if attribute is None:
+            continue
+        values = list(dict.fromkeys(key[index] for key in ordered))
+        if any(value is None or value != value for value in values):
+            continue
+        conjuncts.append(disj([equals_constant(attribute, value) for value in values]))
+    if not conjuncts:
+        return None
+    core = push_selections_down(Selection(form.core, conj(conjuncts)), db)
+    scoped = form.group_by.with_children([core])
+    for wrapper in reversed(form.wrappers):
+        scoped = wrapper.with_children([scoped])
+    return scoped
 
 
 def _group_constraints(
@@ -350,6 +416,7 @@ def smallest_counterexample_agg_opt(
                     instance,
                     tids,
                     {**parameterized1.original_values, **parameterized2.original_values},
+                    original_params,
                 )
                 if param_setting is not None:
                     best_tids, best_params = tids, param_setting
@@ -427,11 +494,13 @@ def _find_parameter_setting(
     instance: DatabaseInstance,
     tids: frozenset[str],
     original_values: Mapping[str, Any],
+    params: ParamValues,
 ) -> dict[str, Any] | None:
     """Choose parameter values making the parameterized queries differ on ``tids``.
 
     Candidate values follow §5.3.2: 0, 1, the original constant, and the
-    aggregate values observed on the counterexample (±1).
+    aggregate values observed on the counterexample (±1).  ``params`` is the
+    caller's binding; the returned setting extends it.
     """
     subinstance = instance.subinstance(tids)
     candidates: dict[str, set[Any]] = {}
@@ -442,9 +511,9 @@ def _find_parameter_setting(
             candidates[name] = {0, 1, value}
         else:
             candidates[name] = {value}
-    observed = _observed_aggregate_values(q1, subinstance) | _observed_aggregate_values(
-        q2, subinstance
-    )
+    observed = _observed_aggregate_values(
+        q1, subinstance, params
+    ) | _observed_aggregate_values(q2, subinstance, params)
     for name in candidates:
         if not isinstance(original_values[name], (int, float)):
             continue
@@ -465,19 +534,21 @@ def _find_parameter_setting(
     names = sorted(candidates)
     pools = [sorted(candidates[name], key=closeness(name)) for name in names]
     for combination in itertools.islice(itertools.product(*pools), 200):
-        setting = dict(zip(names, combination))
+        setting = {**params, **dict(zip(names, combination))}
         if _validate_on_counterexample(q1, q2, instance, tids, setting):
             return setting
     return None
 
 
-def _observed_aggregate_values(query: RAExpression, instance: DatabaseInstance) -> set[Any]:
+def _observed_aggregate_values(
+    query: RAExpression, instance: DatabaseInstance, params: ParamValues
+) -> set[Any]:
     """Aggregate alias values produced by the query's GroupBy nodes on ``instance``."""
     values: set[Any] = set()
     for node in query.walk():
         if not isinstance(node, GroupBy):
             continue
-        result = evaluate(node, instance)
+        result = evaluate(node, instance, params)
         schema = result.schema
         for spec in node.aggregates:
             index = schema.index_of(spec.alias)

@@ -24,7 +24,9 @@ Correctness notes, load-bearing for the differential fuzzers:
   predicate, so *which* row raises first — and therefore which error a
   student sees — matches the reference interpreter;
 * non-raising conjuncts are applied column-at-a-time in conjunct order,
-  which filters the same rows the per-row ``And`` short-circuit does;
+  which filters the same rows the per-row ``And`` short-circuit does; an
+  ``Or`` of ``column = literal`` on one column is one set probe when every
+  literal is hashable, non-NULL and not NaN (:func:`_membership_probe`);
 * every conjunct is compiled before any is applied, so unknown-attribute
   errors surface even on empty inputs;
 * join outputs are deduplicated (first-seen) only when column-dropping can
@@ -48,7 +50,14 @@ from repro.engine.logical import (
 from repro.engine.physical import compile_predicate, key_function
 from repro.errors import QueryEvaluationError, UnknownAttributeError
 from repro.ra.analysis import predicate_can_raise
-from repro.ra.predicates import COMPARISON_OPS, ColumnRef, Comparison, Literal
+from repro.ra.predicates import (
+    COMPARISON_OPS,
+    ColumnRef,
+    Comparison,
+    Literal,
+    Or,
+    constant_equality,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.physical import PlanExecutor
@@ -273,7 +282,43 @@ def _compile_conjunct(conjunct, schema) -> _ConjunctFn:
                 ]
 
             return column_column
+    if isinstance(conjunct, Or):
+        probe = _membership_probe(conjunct, schema)
+        if probe is not None:
+            return probe
     return _row_applier(conjunct, schema)
+
+
+def _membership_probe(disjunction: Or, schema) -> "_ConjunctFn | None":
+    """``c = v1 ∨ c = v2 ∨ …`` over one column as a single set probe.
+
+    Taken only when every literal is hashable, non-NULL and not NaN.  Then
+    ``x in values`` agrees with the row-at-a-time test for every column value
+    ``x``: a NULL matches no non-NULL literal, and set membership is hash
+    plus ``==``, with equal values hashing alike (``1``, ``1.0``, ``True``).
+    A NaN literal is excluded because membership tries identity before
+    ``==``, and ``NaN = NaN`` is false.
+    """
+    equalities = [constant_equality(operand) for operand in disjunction.operands]
+    if any(item is None for item in equalities):
+        return None
+    if len({name for name, _ in equalities}) != 1:
+        return None
+    values = [value for _, value in equalities]
+    if any(value is None or value != value for value in values):
+        return None
+    try:
+        members = frozenset(values)
+    except TypeError:
+        return None
+    index = _index_of(schema, equalities[0][0])
+
+    def member(batch, selected, params):
+        column = batch.column(index)
+        positions = range(len(column)) if selected is None else selected
+        return [s for s in positions if column[s] in members]
+
+    return member
 
 
 def _filter(executor: "PlanExecutor", plan: FilterOp) -> ColumnBatch:

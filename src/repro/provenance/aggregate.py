@@ -15,6 +15,12 @@ algorithm targets::
 
 Queries whose aggregation is nested more deeply are handled by the heuristic
 algorithm (Agg-Opt, Algorithm 3) in :mod:`repro.core.aggregates`.
+
+A group's annotation depends only on its own core rows, in their first-seen
+order.  :func:`key_column_attributes` maps each output key column back to
+the grouping attribute it copies, so a caller can annotate a query whose
+core is cut down to the groups it needs (Agg-Basic's differing groups) and
+get those groups' annotations unchanged.
 """
 
 from __future__ import annotations
@@ -486,8 +492,6 @@ def annotate_aggregate_query(
     for row, expr in core_annotated.items():
         grouped.setdefault(tuple(row[i] for i in group_idx), []).append((row, expr))
 
-    # Columns produced by the GroupBy node, before any wrappers.
-    gb_columns = list(form.group_by.group_by) + [spec.alias for spec in form.group_by.aggregates]
     annotations: list[tuple[dict[str, NumExpr], dict[str, Any], BoolExpr]] = []
     for key, members in grouped.items():
         presence = bor_all(expr for _, expr in members)
@@ -501,7 +505,7 @@ def annotate_aggregate_query(
         annotations.append((symbolic, concrete, presence))
 
     groups: dict[Values, GroupAnnotation] = {}
-    key_columns, value_columns, output_columns = _output_column_split(form, gb_columns)
+    key_columns, value_columns, output_columns = _output_column_split(form, _column_origins(form))
     for symbolic, concrete, presence in annotations:
         condition: AggConstraint = BoolCondition(presence)
         columns = dict(symbolic)
@@ -552,12 +556,13 @@ def annotate_aggregate_query(
     )
 
 
-def _output_column_split(
-    form: AggregateQueryForm, gb_columns: list[str]
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Split output columns into group-identity columns and aggregate columns."""
-    aggregate_aliases = {spec.alias for spec in form.group_by.aggregates}
-    # Track renames through the wrappers to know which output columns are aggregates.
+def _column_origins(form: AggregateQueryForm) -> dict[str, str]:
+    """Each output column that copies a GroupBy column → that column's name.
+
+    Renames and projections are tracked through the wrappers; a GroupBy
+    column a projection drops has no output column mapping to it.
+    """
+    gb_columns = list(form.group_by.group_by) + [spec.alias for spec in form.group_by.aggregates]
     mapping = {name: name for name in gb_columns}
     for wrapper in reversed(form.wrappers):
         if isinstance(wrapper, Projection):
@@ -572,12 +577,36 @@ def _output_column_split(
             else:
                 rename_map = dict(wrapper.attribute_mapping)
                 mapping = {rename_map.get(k, k): v for k, v in mapping.items()}
+    return mapping
+
+
+def _output_column_split(
+    form: AggregateQueryForm, origins: Mapping[str, str]
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """Split output columns into group-identity columns and aggregate columns."""
+    aggregate_aliases = {spec.alias for spec in form.group_by.aggregates}
     output_columns = tuple(form.output_schema.attribute_names)
     key_columns = tuple(
-        name for name in output_columns if mapping.get(name, name) not in aggregate_aliases
+        name for name in output_columns if origins.get(name, name) not in aggregate_aliases
     )
     value_columns = tuple(name for name in output_columns if name not in key_columns)
     return key_columns, value_columns, output_columns
+
+
+def key_column_attributes(form: AggregateQueryForm) -> dict[str, str | None]:
+    """The output key columns, in output order, each → the grouping attribute it copies.
+
+    These are the :attr:`AggregateAnnotation.key_columns`, computed without
+    annotating anything.  A key column no grouping attribute reaches maps
+    to ``None``.
+    """
+    origins = _column_origins(form)
+    group_attributes = set(form.group_by.group_by)
+    key_columns = _output_column_split(form, origins)[0]
+    return {
+        name: origins[name] if origins.get(name) in group_attributes else None
+        for name in key_columns
+    }
 
 
 def _symbolic_aggregate(

@@ -374,6 +374,25 @@ def conj(predicates: Iterable[Predicate]) -> Predicate:
     return And(preds)
 
 
+def disj(predicates: Iterable[Predicate]) -> Predicate:
+    """Disjunction of a non-empty iterable of predicates."""
+    preds = tuple(predicates)
+    if len(preds) == 1:
+        return preds[0]
+    return Or(preds)
+
+
+def constant_equality(predicate: Predicate) -> tuple[str, Any] | None:
+    """``(column, constant)`` for ``column = literal`` or ``literal = column``."""
+    if not isinstance(predicate, Comparison) or predicate.op != "=":
+        return None
+    if isinstance(predicate.left, ColumnRef) and isinstance(predicate.right, Literal):
+        return predicate.left.name, predicate.right.value
+    if isinstance(predicate.right, ColumnRef) and isinstance(predicate.left, Literal):
+        return predicate.right.name, predicate.left.value
+    return None
+
+
 def equals_constant(attribute: str, value: Any) -> Comparison:
     """``attribute = value`` with ``value`` taken literally even if a string."""
     return Comparison("=", ColumnRef(attribute), Literal(value))

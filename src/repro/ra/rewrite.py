@@ -45,6 +45,7 @@ from repro.ra.predicates import (
     Param,
     Predicate,
     conj,
+    constant_equality,
 )
 from repro.catalog.schema import DatabaseSchema
 from repro.ra.analysis import predicate_can_raise
@@ -210,7 +211,7 @@ def _push_into_join(
     # Equality propagation: col = const can cross the join along equi-join pairs.
     for pair_left, pair_right in _equijoin_pairs(node, left_schema, right_schema, db):
         for conjunct in conjuncts:
-            constant = _constant_equality(conjunct)
+            constant = constant_equality(conjunct)
             if constant is None:
                 continue
             column, literal = constant
@@ -246,17 +247,6 @@ def _equijoin_pairs(
             elif left_schema.has_attribute(b) and right_schema.has_attribute(a):
                 pairs.append((b, a))
     return pairs
-
-
-def _constant_equality(predicate: Predicate) -> tuple[str, Any] | None:
-    """Return ``(column, constant)`` for predicates of the form ``col = const``."""
-    if not isinstance(predicate, Comparison) or predicate.op != "=":
-        return None
-    if isinstance(predicate.left, ColumnRef) and isinstance(predicate.right, Literal):
-        return predicate.left.name, predicate.right.value
-    if isinstance(predicate.right, ColumnRef) and isinstance(predicate.left, Literal):
-        return predicate.right.name, predicate.left.value
-    return None
 
 
 def _rename_predicate_columns(predicate: Predicate, mapping: dict[str, str]) -> Predicate:

@@ -165,9 +165,274 @@ class TestAggOpt:
         assert len(calls) == 1
         assert calls[0]["session"] is session
 
+    def test_parameter_search_keeps_the_callers_binding(self, instance):
+        # The cores read a caller @param; the HAVING threshold needs a freed
+        # parameter, so the search evaluates the queries on the witness.
+        core = (
+            "\\rename_{prefix: s} Student \\join_{s.name = r.name%s} "
+            "\\rename_{prefix: r} \\select_{grade >= @g} Registration"
+        )
+        head = (
+            "\\project_{s.name, avg_grade} \\select_{n >= 3} "
+            "\\aggr_{group: s.name; avg(r.grade) -> avg_grade, count(*) -> n} "
+        )
+        q1 = parse_query(head + "(" + core % " and r.dept = 'CS'" + ")")
+        q2 = parse_query(head + "(" + core % "" + ")")
+        result = smallest_counterexample_agg_opt(q1, q2, instance, params={"g": 50})
+        assert result.algorithm == "agg-opt"
+        assert result.verified
+        assert result.parameter_values["g"] == 50
+        assert len(result.parameter_values) == 2
+
 
 class TestHelpers:
     def test_is_aggregate_pair(self, q1_avg, example1_q1):
         assert is_aggregate_pair(q1_avg, example1_q1)
         assert is_aggregate_pair(example1_q1, q1_avg)
         assert not is_aggregate_pair(example1_q1, example1_q1)
+
+
+# ---------------------------------------------------------------------------
+# Group-scoped Agg-Basic provenance
+# ---------------------------------------------------------------------------
+
+
+def _differing(q1, q2, instance, params):
+    from repro.core import aggregates
+    from repro.provenance.aggregate import decompose_aggregate_query, key_column_attributes
+
+    form1 = decompose_aggregate_query(q1, instance.schema)
+    form2 = decompose_aggregate_query(q2, instance.schema)
+    keys = aggregates._differing_keys(
+        form1.output_schema,
+        tuple(key_column_attributes(form1)),
+        evaluate(q1, instance, params),
+        evaluate(q2, instance, params),
+    )
+    return form1, form2, keys
+
+
+def _assert_scoped_matches_whole(q1, q2, instance, params=None, session=None) -> int:
+    """Every differing group annotates identically on the scoped and whole cores.
+
+    Returns how many of the two queries were actually scoped.
+    """
+    from repro.core import aggregates
+    from repro.provenance.aggregate import annotate_aggregate_query
+
+    params = dict(params or {})
+    form1, form2, keys = _differing(q1, q2, instance, params)
+    scoped_count = 0
+    for query, form in ((q1, form1), (q2, form2)):
+        whole = annotate_aggregate_query(query, instance, params, session)
+        scoped = aggregates._scoped_to_groups(form, keys, instance.schema)
+        if scoped is None:
+            continue
+        scoped_count += 1
+        part = annotate_aggregate_query(scoped, instance, params, session)
+        assert part.key_columns == whole.key_columns
+        assert set(part.groups) <= set(whole.groups)
+        for key in keys:
+            # Dataclass equality compares every expression operand by operand,
+            # so this also pins the order of the groups' core rows.
+            assert part.groups.get(key) == whole.groups.get(key), key
+    return scoped_count
+
+
+def _witness(q1, q2, instance, params, parameterize, session=None):
+    from repro.errors import NotApplicableError, QueryEvaluationError, UnsatisfiableError
+
+    try:
+        result = smallest_counterexample_agg_basic(
+            q1, q2, instance, params=params, parameterize=parameterize, session=session
+        )
+    except (CounterexampleError, NotApplicableError, UnsatisfiableError, QueryEvaluationError) as exc:
+        return type(exc).__name__
+    return (
+        result.algorithm,
+        sorted(result.tids),
+        result.optimal,
+        result.distinguishing_row,
+        result.parameter_values,
+    )
+
+
+def _assert_witness_unchanged(q1, q2, instance, params=None, session_factory=None):
+    """Agg-Basic and Agg-Param ship the same witness scoped and whole-core."""
+    from repro.core import aggregates
+
+    params = dict(params or {})
+    for parameterize in (False, True):
+        session = session_factory() if session_factory else None
+        scoped = _witness(q1, q2, instance, params, parameterize, session)
+        original = aggregates._scoped_to_groups
+        aggregates._scoped_to_groups = lambda *args: None
+        try:
+            session = session_factory() if session_factory else None
+            whole = _witness(q1, q2, instance, params, parameterize, session)
+        finally:
+            aggregates._scoped_to_groups = original
+        assert scoped == whole, parameterize
+
+
+@pytest.fixture(scope="module")
+def tpch():
+    from repro.datagen import tpch_instance
+
+    return tpch_instance(1)
+
+
+def _tpch_pairs():
+    from repro.workload import tpch_queries
+
+    return [
+        pytest.param(query, index, id=f"{query.key}[{index}]")
+        for query in tpch_queries()
+        for index in range(len(query.wrong_texts))
+    ]
+
+
+class TestScopedProvenance:
+    @pytest.mark.parametrize("query,index", _tpch_pairs())
+    def test_tpch_pairs(self, tpch, query, index):
+        from repro.engine.session import EngineSession
+
+        q1, q2 = query.correct_query, parse_query(query.wrong_texts[index])
+        session = EngineSession(tpch)
+        assert _assert_scoped_matches_whole(q1, q2, tpch, session=session) >= 1
+        _assert_witness_unchanged(q1, q2, tpch, session_factory=lambda: EngineSession(tpch))
+
+    def test_fuzzed_aggregate_pairs(self):
+        from repro.datagen import toy_beers_instance
+        from repro.workload.fuzz import CounterexampleFuzzer, perturb_instance
+
+        checked = scoped = 0
+        for instance in (
+            toy_university_instance(),
+            perturb_instance(toy_university_instance(), seed=42),
+            toy_beers_instance(),
+            perturb_instance(toy_beers_instance(), seed=43),
+        ):
+            for pair in CounterexampleFuzzer(instance).pairs(55):
+                if not is_aggregate_pair(pair.correct, pair.mutant):
+                    continue
+                try:
+                    _differing(pair.correct, pair.mutant, instance, pair.params)
+                except Exception:
+                    continue  # not aggregate-at-top, or a query that raises
+                checked += 1
+                scoped += _assert_scoped_matches_whole(
+                    pair.correct, pair.mutant, instance, pair.params
+                )
+                _assert_witness_unchanged(pair.correct, pair.mutant, instance, pair.params)
+        assert checked >= 20 and scoped >= checked, (checked, scoped)
+
+    def test_key_renamed_by_a_wrapper(self, instance):
+        from repro.provenance.aggregate import decompose_aggregate_query, key_column_attributes
+
+        q1 = parse_query(
+            "\\rename_{name -> student} \\aggr_{group: name; avg(grade) -> g} Registration"
+        )
+        q2 = parse_query(
+            "\\rename_{name -> student} \\aggr_{group: name; avg(grade) -> g} "
+            "\\select_{dept = 'CS'} Registration"
+        )
+        form = decompose_aggregate_query(q1, instance.schema)
+        assert key_column_attributes(form) == {"student": "name"}
+        assert _assert_scoped_matches_whole(q1, q2, instance) == 2
+        _assert_witness_unchanged(q1, q2, instance)
+
+    def test_group_attribute_projected_away_leaves_the_core_whole(self, instance):
+        from repro.core import aggregates
+
+        q1 = parse_query("\\project_{n} \\aggr_{group: name; count(*) -> n} Registration")
+        q2 = parse_query(
+            "\\project_{n} \\aggr_{group: name; count(*) -> n} \\select_{grade > 90} Registration"
+        )
+        form1, _, keys = _differing(q1, q2, instance, {})
+        assert keys == {()}
+        assert aggregates._scoped_to_groups(form1, keys, instance.schema) is None
+        _assert_witness_unchanged(q1, q2, instance)
+
+    def test_two_grouping_keys_collapsing_to_one_projected_key(self, instance):
+        from repro.provenance.aggregate import AggOr, annotate_aggregate_query
+
+        q1 = parse_query(
+            "\\project_{name, n} \\aggr_{group: name, dept; count(*) -> n} Registration"
+        )
+        q2 = parse_query(
+            "\\project_{name, n} \\aggr_{group: name, dept; count(*) -> n} "
+            "\\select_{grade >= 90} Registration"
+        )
+        # Mary's CS and ECON groups share the projected key ('Mary',).
+        merged = annotate_aggregate_query(q1, instance).groups[("Mary",)]
+        assert isinstance(merged.condition, AggOr)
+        assert _assert_scoped_matches_whole(q1, q2, instance) == 2
+        _assert_witness_unchanged(q1, q2, instance)
+
+    def test_null_group_key_leaves_its_column_unrestricted(self):
+        from repro.catalog.instance import DatabaseInstance
+        from repro.catalog.schema import Attribute, DatabaseSchema, RelationSchema
+        from repro.catalog.types import DataType
+        from repro.core import aggregates
+        from repro.ra.ast import Selection
+
+        schema = DatabaseSchema.of(
+            [
+                RelationSchema(
+                    "T",
+                    (
+                        Attribute("g", DataType.INT, nullable=True),
+                        Attribute("h", DataType.STRING),
+                        Attribute("v", DataType.INT),
+                    ),
+                )
+            ]
+        )
+        db = DatabaseInstance(schema)
+        for values in [(None, "x", 1), (None, "x", 5), (1, "x", 2), (1, "y", 7), (2, "y", 3)]:
+            db.insert("T", values)
+        q1 = parse_query("\\aggr_{group: g, h; sum(v) -> s} T")
+        q2 = parse_query("\\aggr_{group: g, h; sum(v) -> s} \\select_{v > 2} T")
+        form1, _, keys = _differing(q1, q2, db, {})
+        assert keys == {(None, "x"), (1, "x")}
+        scoped = aggregates._scoped_to_groups(form1, keys, db.schema)
+        filters = [n.predicate for n in scoped.walk() if isinstance(n, Selection)]
+        assert [f.referenced_columns() for f in filters] == [{"h"}]
+        assert _assert_scoped_matches_whole(q1, q2, db) == 2
+        _assert_witness_unchanged(q1, q2, db)
+
+        # With the NULL in the only key column nothing restricts.
+        q1 = parse_query("\\aggr_{group: g; sum(v) -> s} T")
+        q2 = parse_query("\\aggr_{group: g; sum(v) -> s} \\select_{v > 2} T")
+        form1, _, keys = _differing(q1, q2, db, {})
+        assert (None,) in keys
+        assert aggregates._scoped_to_groups(form1, keys, db.schema) is None
+        # NULL and 1 tie on variable count: ranking them must not compare None < 1.
+        assert smallest_counterexample_agg_basic(q1, q2, db).verified
+        _assert_witness_unchanged(q1, q2, db)
+
+    def test_no_differing_candidate_falls_back_to_every_whole_core_group(
+        self, instance, monkeypatch
+    ):
+        from repro.core import aggregates
+
+        # Q1 is empty and Q2 lists (n, name): keyed by Q1's key position the
+        # differing keys are counts, which name no group of either query.
+        q1 = parse_query("\\aggr_{group: name; count(*) -> n} \\select_{dept = 'XX'} Registration")
+        q2 = parse_query("\\project_{n, name} \\aggr_{group: name; count(*) -> n} Registration")
+        annotated = []
+        real = aggregates.annotate_aggregate_query
+
+        def spy(query, *args, **kwargs):
+            annotated.append(query)
+            return real(query, *args, **kwargs)
+
+        monkeypatch.setattr(aggregates, "annotate_aggregate_query", spy)
+        result = smallest_counterexample_agg_basic(q1, q2, instance)
+        assert annotated[2:] == [q1, q2]
+        assert annotated[0] != q1 and annotated[1] != q2
+        assert result.verified
+        assert result.distinguishing_row == ("John",)
+        monkeypatch.undo()
+        _assert_witness_unchanged(q1, q2, instance)

@@ -564,3 +564,93 @@ class TestProvenanceDomainViaEngine:
             equals_constant("s.name", "Mary"),
         )
         assert EngineSession(instance).evaluate(query).rows == _reference_rows(query, instance)
+
+
+#: One NaN object, stored in a row and used as a literal: set membership
+#: tries identity before ``==``, so only this exposes a probe that wrongly
+#: takes a NaN literal.
+_NAN = float("nan")
+
+
+class TestMembershipProbe:
+    """An ``Or`` of ``column = literal`` on one column filters by set membership."""
+
+    @pytest.fixture()
+    def mixed(self):
+        from repro.catalog.schema import Attribute, DatabaseSchema, RelationSchema
+        from repro.catalog.types import DataType
+
+        schema = DatabaseSchema.of(
+            [
+                RelationSchema(
+                    "R",
+                    (
+                        Attribute("k", DataType.INT, nullable=True),
+                        Attribute("f", DataType.FLOAT, nullable=True),
+                        Attribute("b", DataType.BOOL, nullable=True),
+                        Attribute("s", DataType.STRING),
+                    ),
+                )
+            ]
+        )
+        db = DatabaseInstance(schema)
+        for values in [
+            (1, 1.0, True, "a"),
+            (2, _NAN, False, "b"),
+            (None, None, None, "c"),
+            (3, 2.5, True, "d"),
+            (0, 0.0, False, "e"),
+            (1, 3.0, None, "f"),
+        ]:
+            db.insert("R", values)
+        return db
+
+    @staticmethod
+    def _equals(column, value, *, literal_first=False):
+        from repro.ra.predicates import ColumnRef, Comparison, Literal
+
+        if literal_first:
+            return Comparison("=", Literal(value), ColumnRef(column))
+        return Comparison("=", ColumnRef(column), Literal(value))
+
+    def _cases(self):
+        from repro.ra.predicates import Not, Or
+
+        eq_ = self._equals
+        return [
+            # (predicate, takes the probe)
+            (Or((eq_("k", 1), eq_("k", 3))), True),
+            (Or((eq_("k", 1, literal_first=True), eq_("k", 3))), True),
+            (Or((eq_("f", 1), eq_("f", 2.5))), True),
+            (Or((eq_("b", 1), eq_("b", 0))), True),
+            (Or((eq_("k", True), eq_("k", 1.0))), True),
+            (Or((eq_("s", "a"), eq_("s", "zz"))), True),
+            (Or((eq_("k", 1), eq_("k", None))), False),
+            (Or((eq_("f", _NAN), eq_("f", 1.0))), False),
+            (Or((eq_("k", 1), eq_("s", "b"))), False),
+            (Not(Or((eq_("k", 1), eq_("k", 3)))), False),
+        ]
+
+    def test_fast_path_is_taken_only_when_sound(self, mixed):
+        from repro.engine.columnar import _membership_probe
+        from repro.ra.predicates import Or
+
+        schema = mixed.schema.relation("R")
+        for predicate, probed in self._cases():
+            taken = isinstance(predicate, Or) and _membership_probe(predicate, schema) is not None
+            assert taken is probed, str(predicate)
+
+    def test_probe_matches_row_semantics_in_set_and_provenance_domains(self, mixed):
+        from repro.engine.reference import ReferenceProvenanceEvaluator
+
+        schema = mixed.schema.relation("R")
+        rows = [values for _tid, values in mixed.relation("R").tuples()]
+        session = EngineSession(mixed)
+        for predicate, _ in self._cases():
+            expected = [row for row in rows if predicate.evaluate(schema, row, {})]
+            query = select(relation("R"), predicate)
+            assert session.evaluate(query).rows == frozenset(expected), str(predicate)
+            _, annotated = session.annotated_rows(query)
+            assert list(annotated) == expected, str(predicate)
+            reference = ReferenceProvenanceEvaluator(mixed, {}).annotated(query)
+            assert annotated == reference, str(predicate)
