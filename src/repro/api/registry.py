@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.catalog.instance import DatabaseInstance
-from repro.engine.backends import BACKEND_NAMES
 from repro.engine.session import EngineSession
 from repro.errors import ReproError
 from repro.lru import LRUCache
@@ -35,19 +34,16 @@ DatasetBuilder = Callable[[str, int], DatabaseInstance]
 class DatasetHandle:
     """A resolved dataset: the shared instance plus its warm engine session.
 
-    Handles are cached and shared across submissions and worker threads —
-    treat the instance as read-only (mutating it invalidates the session's
-    caches for every concurrent user).  ``backend`` names the execution
-    backend the session runs set-semantics evaluation on; handles for
-    different backends share neither sessions nor caches, but instance-backed
-    datasets do share the one underlying instance.
+    Handles are cached per ``(spec, seed)`` and shared across submissions
+    and worker threads, so every grade against one dataset sees one instance
+    and one session.  Edit the instance only through its logged mutation API
+    (the session absorbs those edits differentially for every user).
     """
 
     spec: str
     seed: int
     instance: DatabaseInstance
     session: EngineSession
-    backend: str = "python"
 
 
 def _builtin_builders() -> dict[str, DatasetBuilder]:
@@ -71,36 +67,21 @@ def _builtin_builders() -> dict[str, DatasetBuilder]:
 class DatasetRegistry:
     """Thread-safe resolver of dataset specs to cached (instance, session) pairs."""
 
-    #: Default bound on cached handles (see the ``max_handles`` property).
+    #: Bound on cached handles; the least recently resolved is evicted first.
+    #: A grading deployment serves a handful of hidden datasets — the bound
+    #: exists so submitter-controlled specs/seeds (e.g. from JSONL input)
+    #: cannot pin unbounded instances in memory.
     DEFAULT_MAX_HANDLES = 16
 
-    def __init__(
-        self, *, include_builtin: bool = True, max_handles: int | None = None
-    ) -> None:
+    def __init__(self, *, include_builtin: bool = True) -> None:
         self._builders: dict[str, DatasetBuilder] = (
             _builtin_builders() if include_builtin else {}
         )
         self._instance_backed: set[str] = set()
-        self._handles: LRUCache = LRUCache(
-            self.DEFAULT_MAX_HANDLES if max_handles is None else max_handles
-        )
-        self._build_locks: dict[tuple[str, int, str], threading.Lock] = {}
+        self._handles: LRUCache = LRUCache(self.DEFAULT_MAX_HANDLES)
+        self._build_locks: dict[tuple[str, int], threading.Lock] = {}
         self._generations: dict[str, int] = {}
         self._lock = threading.Lock()
-
-    @property
-    def max_handles(self) -> int | None:
-        """Bound on cached handles; the least recently resolved is evicted first.
-
-        A grading deployment serves a handful of hidden datasets — the bound
-        exists so submitter-controlled specs/seeds (e.g. from JSONL input)
-        cannot pin unbounded instances in memory.
-        """
-        return self._handles.max_entries
-
-    @max_handles.setter
-    def max_handles(self, value: int | None) -> None:
-        self._handles.max_entries = value
 
     # -- registration --------------------------------------------------------
 
@@ -154,30 +135,24 @@ class DatasetRegistry:
                 raise self._unknown_dataset(spec)
         return builder(argument, seed)
 
-    def resolve(self, spec: str, *, seed: int = 0, backend: str = "python") -> DatasetHandle:
+    def resolve(self, spec: str, *, seed: int = 0) -> DatasetHandle:
         """The shared handle for ``spec``: built on first use, cached after.
 
         Builds run under a per-key lock *outside* the registry lock, so
         concurrent workers asking for the same dataset wait for one build,
         while requests for other (cached or building) datasets proceed —
         a slow ``tpch:1`` build never blocks ``toy-university`` lookups.
-        ``backend`` selects the engine session's execution backend; handles
-        are cached per (spec, seed, backend).
+        Handles are cached per (spec, seed).
         """
-        if backend not in BACKEND_NAMES:
-            raise ReproError(
-                f"unknown execution backend {backend!r}; "
-                f"expected one of {', '.join(BACKEND_NAMES)}"
-            )
         name, _, argument = spec.partition(":")
         with self._lock:
             builder = self._builders.get(name)
             if builder is None:
                 raise self._unknown_dataset(spec)
             if name in self._instance_backed:
-                key, argument, seed = (name, 0, backend), "", 0
+                key, argument, seed = (name, 0), "", 0
             else:
-                key = (spec, seed, backend)
+                key = (spec, seed)
             handle = self._handles.get(key)
             if handle is not None:
                 return handle
@@ -199,8 +174,7 @@ class DatasetRegistry:
                 spec=key[0],
                 seed=seed,
                 instance=instance,
-                session=EngineSession(instance, backend=backend),
-                backend=backend,
+                session=EngineSession(instance),
             )
             with self._lock:
                 if self._generations.get(name, 0) != generation:
@@ -212,7 +186,7 @@ class DatasetRegistry:
                     self._handles[key] = handle  # LRU-bounded: evicts oldest
                     self._build_locks.pop(key, None)
             if retry:
-                return self.resolve(spec, seed=seed, backend=backend)
+                return self.resolve(spec, seed=seed)
             return handle
 
     def _unknown_dataset(self, spec: str) -> ReproError:

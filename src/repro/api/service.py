@@ -360,12 +360,6 @@ class GradingService:
     dataset spec (or uses the service default) and is graded on that
     dataset's shared engine session.  ``submit_batch`` fans work out over a
     thread pool; the session lock keeps results identical to serial grading.
-
-    ``backend`` selects the execution backend every resolved session
-    evaluates set-semantics queries on — ``"python"`` (the in-process
-    operators) or ``"sqlite"`` (plans compiled to SQL on a cached
-    ``:memory:`` database).  Grades are backend-independent: plans SQLite
-    cannot express, and all provenance work, transparently run in-process.
     """
 
     def __init__(
@@ -374,21 +368,19 @@ class GradingService:
         *,
         default_dataset: str = "toy-university",
         default_seed: int = 0,
-        backend: str = "python",
     ) -> None:
         self.registry = registry if registry is not None else default_registry()
         self.default_dataset = default_dataset
         self.default_seed = default_seed
-        self.backend = backend
 
     @classmethod
     def for_instance(
-        cls, instance: DatabaseInstance, *, name: str = "custom", backend: str = "python"
+        cls, instance: DatabaseInstance, *, name: str = "custom"
     ) -> "GradingService":
         """A service bound to one pre-built (e.g. hidden course) instance."""
         registry = DatasetRegistry()
         registry.register_instance(name, instance)
-        return cls(registry, default_dataset=name, backend=backend)
+        return cls(registry, default_dataset=name)
 
     # -- dataset access ------------------------------------------------------
 
@@ -396,7 +388,6 @@ class GradingService:
         return self.registry.resolve(
             dataset if dataset is not None else self.default_dataset,
             seed=self.default_seed if seed is None else seed,
-            backend=self.backend,
         )
 
     def session_for(self, dataset: str | None = None, seed: int | None = None) -> EngineSession:

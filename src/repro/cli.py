@@ -62,7 +62,6 @@ from pathlib import Path
 from repro import __version__
 from repro.api import GradingService, SubmissionRequest, default_registry
 from repro.catalog.instance import DatabaseInstance
-from repro.engine.backends import BACKEND_NAMES
 from repro.errors import ReproError
 from repro.ratest import RATest
 
@@ -102,7 +101,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     instance = load_dataset(args.dataset, seed=args.seed)
-    tool = RATest(instance, backend=args.backend)
+    tool = RATest(instance)
     correct = _read_query(args.correct)
     test = _read_query(args.test)
     analyses: dict[str, object] = {}
@@ -208,9 +207,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         error_kinds = {envelope["outcome"].get("error_kind") for envelope in envelopes}
         return 1 if error_kinds & OPERATIONAL_ERROR_KINDS else 0
 
-    service = GradingService(
-        default_dataset=args.dataset, default_seed=args.seed, backend=args.backend
-    )
+    service = GradingService(default_dataset=args.dataset, default_seed=args.seed)
     graded = service.submit_batch(requests, workers=args.workers)
     _write_jsonl(args, [result.to_dict() for result in graded])
     num_correct = sum(1 for result in graded if result.correct)
@@ -242,7 +239,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        backend=args.backend,
         default_dataset=args.dataset,
         default_seed=args.seed,
         store_path=None if args.store == ":memory:" else args.store,
@@ -262,7 +258,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"repro-serve {__version__} listening on http://{server.host}:{server.port} "
-        f"(workers={config.workers}, backend={config.backend}, store={args.store}"
+        f"(workers={config.workers}, store={args.store}"
         f"{cluster_note})",
         file=sys.stderr,
         flush=True,
@@ -286,7 +282,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         host=args.host,
         ports=ports,
         workers=args.workers,
-        backend=args.backend,
         store_dir=args.store_dir,
         warm_datasets=tuple(args.warm),
         max_queue=args.max_queue,
@@ -355,12 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--test", required=True, help="test query (RA DSL text or file path)")
     explain.add_argument("--algorithm", default="auto", help="auto, basic, optsigma, agg-basic, agg-opt, ...")
     explain.add_argument(
-        "--backend",
-        default="python",
-        choices=list(BACKEND_NAMES),
-        help="execution backend for set-semantics evaluation",
-    )
-    explain.add_argument(
         "--analyze",
         action="store_true",
         help="also print EXPLAIN ANALYZE for both queries: per-operator actual "
@@ -378,17 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--seed", type=int, default=0, help="seed for lines without one")
     batch.add_argument(
-        "--backend",
-        default="python",
-        choices=list(BACKEND_NAMES),
-        help="execution backend for set-semantics evaluation",
-    )
-    batch.add_argument(
         "--server",
         default=None,
         metavar="URL",
         help="grade through a running 'repro serve' daemon at URL instead of in process "
-        "(--workers/--dataset/--seed/--backend then follow the daemon's configuration)",
+        "(--workers/--dataset/--seed then follow the daemon's configuration)",
     )
     batch.set_defaults(func=_cmd_batch)
 
@@ -409,12 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataset", default="toy-university", help="default dataset spec for requests without one"
     )
     serve.add_argument("--seed", type=int, default=0, help="default seed for requests without one")
-    serve.add_argument(
-        "--backend",
-        default="python",
-        choices=list(BACKEND_NAMES),
-        help="execution backend for set-semantics evaluation",
-    )
     serve.add_argument(
         "--warm",
         action="append",
@@ -483,10 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--workers", type=int, default=2, help="grading worker processes per shard"
-    )
-    cluster.add_argument(
-        "--backend", default="python", choices=list(BACKEND_NAMES),
-        help="execution backend for set-semantics evaluation",
     )
     cluster.add_argument(
         "--store-dir",

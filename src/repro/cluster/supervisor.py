@@ -74,7 +74,6 @@ class ClusterSupervisor:
         host: str = "127.0.0.1",
         ports: Sequence[int] | None = None,
         workers: int = 2,
-        backend: str = "python",
         store_dir: str | Path | None = None,
         warm_datasets: Sequence[str] = (),
         max_queue: int = 64,
@@ -94,7 +93,6 @@ class ClusterSupervisor:
             for index, port in enumerate(port_list)
         ]
         self.workers = workers
-        self.backend = backend
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.warm_datasets = list(warm_datasets)
         self.max_queue = max_queue
@@ -128,8 +126,6 @@ class ClusterSupervisor:
             str(spec.port),
             "--workers",
             str(self.workers),
-            "--backend",
-            self.backend,
             "--max-queue",
             str(self.max_queue),
             "--cluster-self",

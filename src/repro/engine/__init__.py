@@ -21,11 +21,7 @@ result caching across repeated evaluations — the unit of reuse for a grading
 session that checks many submissions against one instance.
 """
 
-from repro.engine.backends import (
-    BACKEND_NAMES,
-    BackendUnsupportedError,
-    SqliteBackend,
-)
+from repro.engine.backends import BackendUnsupportedError, SqliteBackend
 from repro.engine.columnar import ColumnBatch, as_mapping
 from repro.engine.domains import (
     PROVENANCE_DOMAIN,
@@ -65,7 +61,6 @@ from repro.engine.structural import KeyCache, StructuralKey, structural_hash
 __all__ = [
     "AggregateOp",
     "AnnotationDomain",
-    "BACKEND_NAMES",
     "BackendUnsupportedError",
     "CardinalityEstimator",
     "ColumnBatch",

@@ -1,18 +1,13 @@
-"""Pluggable execution backends for set-semantics plan evaluation.
+"""SQLite as an independent oracle for the engine's set-semantics results.
 
-The engine's default backend runs compiled plans through the in-process
-Python operators (:mod:`repro.engine.physical`).  This package adds
-alternatives that execute the *same* optimized logical plans elsewhere —
-today :class:`~repro.engine.backends.sqlite.SqliteBackend`, which compiles
-plans to SQLite SQL and runs them on a cached ``:memory:`` database, the
-way the original RATest ran its rewritten queries on SQL Server.
-
-Backends are deliberately narrow: they only cover plain set-semantics
-evaluation.  Provenance annotation (and anything else a backend cannot
-express) falls back to the Python operators via
-:class:`BackendUnsupportedError`, which
-:class:`~repro.engine.session.EngineSession` treats as "run it in-process
-instead" — never as a user-visible failure.
+:class:`~repro.engine.backends.sqlite.SqliteBackend` compiles a query's
+pushdown-only logical plan to SQLite SQL and runs it on a ``:memory:`` copy
+of the instance, the way the original RATest ran its rewritten queries on
+SQL Server.  Grading never calls it: every plan runs on the in-process
+operators (:mod:`repro.engine.physical`), and the differential tests compare
+those rows with :meth:`SqliteBackend.rows`.  A plan or binding the dialect
+cannot express faithfully raises :class:`BackendUnsupportedError` rather
+than an answer that might be wrong.
 """
 
 from repro.engine.backends.sqlite import (
@@ -25,11 +20,7 @@ from repro.engine.backends.sqlite import (
     prepare_connection,
 )
 
-#: Names accepted by ``EngineSession``/``DatasetRegistry``/``GradingService``.
-BACKEND_NAMES = ("python", "sqlite")
-
 __all__ = [
-    "BACKEND_NAMES",
     "BackendUnsupportedError",
     "CompiledPlan",
     "SqliteBackend",

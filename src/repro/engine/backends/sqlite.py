@@ -1,13 +1,13 @@
-"""SQLite execution backend: optimized logical plans compiled to SQL.
+"""SQLite as a differential oracle: logical plans compiled to SQL.
 
 The original RATest translated relational algebra into SQL CTEs and ran them
 on SQL Server; this module does the same against SQLite — the one production
-engine every Python install ships with.  A :class:`SqliteBackend` owns a
-cached ``:memory:`` database per bound instance (reloaded whenever the
-instance's ``data_version`` changes) and executes compiled
-:class:`~repro.engine.logical.PlanNode` trees as a ``WITH`` chain, one CTE
-per operator, returning exactly the annotated row dict the Python operators
-would produce under the set domain.
+engine every Python install ships with — to check the in-process engine.
+:meth:`SqliteBackend.rows` compiles a query's pushdown-only plan (no semijoin
+reduction, no build-side choice) to a ``WITH`` chain, one CTE per operator,
+runs it on a ``:memory:`` copy of the instance (reloaded whenever the
+instance's ``data_version`` changes) and returns the row set the engine
+must agree with.  Grading never runs here.
 
 Faithfulness to the in-process engine is the whole point, so the generated
 SQL mirrors its semantics rather than idiomatic SQL (the scalar/predicate
@@ -21,14 +21,13 @@ rules live in :mod:`repro.sqltext`, shared with the AST-level writer in
 * every CTE exposes positional columns ``c1..cN``, sidestepping quoting and
   duplicate-name questions for plan-internal columns (renames compile away
   in plans; callers re-attach the expression's output schema);
-* parameters bind as ``:p_<name>``, and bindings whose runtime type would
-  change a comparison's meaning (a string where a number is compared) are
-  refused so the Python operators can raise their usual ``TypeError``.
+* parameters bind as ``:p_<name>``, and bindings SQLite would store or
+  compare differently from Python (a string where a number is compared,
+  NaN, an integer beyond 64 bits) are refused.
 
 Anything the dialect cannot express faithfully raises
-:class:`~repro.sqltext.BackendUnsupportedError`; the session falls back to
-the Python operators, so a backend gap is a performance event, never a
-wrong answer.
+:class:`~repro.sqltext.BackendUnsupportedError`: the oracle refuses rather
+than answers wrong, and nothing falls back silently.
 """
 
 from __future__ import annotations
@@ -52,11 +51,12 @@ from repro.engine.logical import (
     PlanNode,
     ProjectOp,
     ScanOp,
-    SemiJoinOp,
     UnionOp,
+    compile_plan,
 )
+from repro.engine.optimizer import optimize_expression
 from repro.errors import QueryEvaluationError
-from repro.ra.ast import AggregateFunction
+from repro.ra.ast import AggregateFunction, RAExpression
 from repro.ra.predicates import Param, Predicate
 from repro.sqltext import (
     BackendUnsupportedError,
@@ -64,7 +64,6 @@ from repro.sqltext import (
     literal_type,
     quote_identifier,
     render_predicate,
-    sql_literal,
 )
 
 ParamValues = Mapping[str, Any]
@@ -75,7 +74,7 @@ class _PythonDivision:
 
     sqlite3 flattens every UDF exception into an opaque
     ``OperationalError("user-defined function raised exception")``, so the
-    callable records the real exception for the backend to re-raise — a
+    callable records the real exception for the oracle to re-raise — a
     division by zero must surface as the engine's error, and anything else
     (say, a string-typed parameter value) as the same exception the Python
     operators would have raised.
@@ -103,7 +102,7 @@ def prepare_connection(
 ) -> sqlite3.Connection:
     """Register the engine-compatibility functions on a connection.
 
-    ``division`` lets a backend supply its own recorder instance so UDF
+    ``division`` lets the oracle supply its own recorder instance so UDF
     failures can be re-raised as their real exceptions.
     """
     conn.create_function(
@@ -129,6 +128,23 @@ def create_table_sql(schema: RelationSchema) -> str:
     return f"CREATE TABLE {quote_identifier(schema.name)} ({columns})"
 
 
+_INT64 = range(-(2**63), 2**63)
+
+
+def _refuse_unstorable(value: Any, where: str) -> None:
+    """Raise :class:`BackendUnsupportedError` unless sqlite3 stores ``value`` as is.
+
+    sqlite3 binds NaN as ``NULL`` without a word and raises
+    ``OverflowError`` for an integer beyond 64 bits.
+    """
+    if isinstance(value, float) and math.isnan(value):
+        raise BackendUnsupportedError(f"{where} contains NaN, which SQLite stores as NULL")
+    if isinstance(value, int) and value not in _INT64:
+        raise BackendUnsupportedError(
+            f"{where} holds {value}, beyond SQLite's 64-bit integers"
+        )
+
+
 def load_instance(conn: sqlite3.Connection, instance: DatabaseInstance) -> None:
     """Create and populate one table per relation of ``instance``.
 
@@ -138,13 +154,10 @@ def load_instance(conn: sqlite3.Connection, instance: DatabaseInstance) -> None:
     """
 
     def checked_rows(relation):
+        where = f"relation {relation.schema.name!r}"
         for _, values in relation.tuples():
             for value in values:
-                if isinstance(value, float) and math.isnan(value):
-                    raise BackendUnsupportedError(
-                        f"relation {relation.schema.name!r} contains NaN, "
-                        "which SQLite stores as NULL"
-                    )
+                _refuse_unstorable(value, where)
             yield values
 
     for name, relation in instance.relations.items():
@@ -153,7 +166,7 @@ def load_instance(conn: sqlite3.Connection, instance: DatabaseInstance) -> None:
         insert = f"INSERT INTO {quote_identifier(name)} VALUES ({placeholders})"
         try:
             conn.executemany(insert, checked_rows(relation))
-        except (OverflowError, sqlite3.Error) as exc:
+        except sqlite3.Error as exc:
             raise BackendUnsupportedError(
                 f"cannot load relation {name!r} into SQLite: {exc}"
             ) from exc
@@ -164,7 +177,7 @@ def connect_instance(instance: DatabaseInstance) -> sqlite3.Connection:
     """A fresh prepared ``:memory:`` connection with ``instance`` loaded.
 
     Used by tests and tooling that execute SQL text directly (e.g. the
-    round-trip tests for :mod:`repro.parser.sql_writer`); the backend itself
+    round-trip tests for :mod:`repro.parser.sql_writer`); the oracle itself
     keeps a cached connection keyed by the instance's data version.
     """
     conn = sqlite3.connect(":memory:", check_same_thread=False)
@@ -262,8 +275,6 @@ class _PlanCompiler:
             return self._project(plan)
         if isinstance(plan, JoinOp):
             return self._join(plan)
-        if isinstance(plan, SemiJoinOp):
-            return self._semi_join(plan)
         if isinstance(plan, CrossOp):
             return self._cross(plan)
         if isinstance(plan, (UnionOp, DifferenceOp, IntersectOp)):
@@ -329,26 +340,6 @@ class _PlanCompiler:
             body += f" WHERE {residual}"
         dtypes = left_types + tuple(right_types[j] for j in keep)
         return self._add_cte(body, len(dtypes)), dtypes
-
-    def _semi_join(self, plan: SemiJoinOp) -> tuple[str, tuple[DataType, ...]]:
-        left, left_types = self.emit(plan.left)
-        right, right_types = self.emit(plan.right)
-        for a, b in zip(plan.left_key, plan.right_key):
-            if not comparable_in_sql(left_types[a], right_types[b]):
-                raise BackendUnsupportedError(
-                    "semijoin key types diverge from dict-key equality in SQLite"
-                )
-        # IS, not =: the semijoin's key-set membership test goes through dict
-        # equality, where NULL == NULL holds.
-        condition = " AND ".join(
-            f"R.c{b + 1} IS L.c{a + 1}" for a, b in zip(plan.left_key, plan.right_key)
-        )
-        columns = ", ".join(f"L.c{i + 1}" for i in range(len(left_types)))
-        body = (
-            f"SELECT {columns} FROM {left} AS L "
-            f"WHERE EXISTS (SELECT 1 FROM {right} AS R WHERE {condition})"
-        )
-        return self._add_cte(body, len(left_types)), left_types
 
     def _cross(self, plan: CrossOp) -> tuple[str, tuple[DataType, ...]]:
         left, left_types = self.emit(plan.left)
@@ -434,30 +425,20 @@ def compile_plan_to_sql(plan: PlanNode, db: DatabaseSchema) -> CompiledPlan:
 
 
 # ---------------------------------------------------------------------------
-# The backend
+# The oracle
 # ---------------------------------------------------------------------------
 
 _BINDABLE_TYPES = (bool, int, float, str)
 
 
 class SqliteBackend:
-    """Execute compiled plans against a cached ``:memory:`` SQLite database.
+    """Compute a query's rows on SQLite, independently of the engine.
 
-    One backend binds one :class:`~repro.catalog.instance.DatabaseInstance`;
-    the database is (re)loaded lazily whenever the instance's
-    ``data_version`` changes, and compiled SQL is cached per plan node —
-    plans hash structurally, so a grading session re-running the same
-    reference query never recompiles it.  All public methods are
-    thread-safe (a single lock serializes compilation and execution, which
-    also satisfies sqlite3's cross-thread connection rules).
+    One oracle binds one :class:`~repro.catalog.instance.DatabaseInstance`;
+    its ``:memory:`` database is (re)loaded lazily whenever the instance's
+    ``data_version`` changes.  Thread-safe: one lock serializes loading and
+    execution, which also satisfies sqlite3's cross-thread connection rules.
     """
-
-    name = "sqlite"
-
-    #: Soft bound on cached compiled statements, mirroring the session's
-    #: bounded plan cache — a long-lived service fielding a stream of
-    #: structurally distinct submissions must not grow without limit.
-    max_compiled_plans = 10_000
 
     def __init__(self, instance: DatabaseInstance) -> None:
         self.instance = instance
@@ -466,8 +447,6 @@ class SqliteBackend:
         self._division = _PythonDivision()
         self._loaded_version: int | None = None
         self._load_failed_version: int | None = None
-        self._compiled: dict[PlanNode, CompiledPlan | None] = {}
-        self.stats = {"loads": 0, "statements": 0, "compile_misses": 0}
 
     # -- database lifecycle ------------------------------------------------
 
@@ -482,8 +461,6 @@ class SqliteBackend:
             if self._conn is not None:
                 self._conn.close()
                 self._conn = None
-            # Compiled SQL depends only on the schema, never on the data, so
-            # reloads keep the compilation cache.
             conn = sqlite3.connect(":memory:", check_same_thread=False)
             prepare_connection(conn, division=self._division)
             try:
@@ -494,7 +471,6 @@ class SqliteBackend:
                 raise
             self._conn = conn
             self._loaded_version = version
-            self.stats["loads"] += 1
         return self._conn
 
     def close(self) -> None:
@@ -506,36 +482,15 @@ class SqliteBackend:
 
     # -- execution ---------------------------------------------------------
 
-    def _compile(self, plan: PlanNode) -> CompiledPlan:
-        compiled = self._compiled.get(plan, _MISSING)
-        if compiled is _MISSING:
-            self.stats["compile_misses"] += 1
-            if len(self._compiled) >= self.max_compiled_plans:
-                self._compiled.clear()
-            try:
-                compiled = compile_plan_to_sql(plan, self.instance.schema)
-            except BackendUnsupportedError:
-                self._compiled[plan] = None
-                raise
-            self._compiled[plan] = compiled
-        if compiled is None:
-            raise BackendUnsupportedError("plan previously found uncompilable")
-        return compiled
-
-    def compiled_sql(self, plan: PlanNode) -> str:
-        """The SQL text a plan executes as (diagnostics and tests)."""
-        with self._lock:
-            return self._compile(plan).sql
-
     def _binding(self, compiled: CompiledPlan, params: ParamValues) -> dict[str, Any]:
         """Named-parameter binding, refusing type-unfaithful values.
 
-        A *missing* parameter is a fallback, not an error: the Python
-        operators resolve parameters lazily, so a plan whose predicate never
-        runs (empty input) evaluates fine unbound — only they can tell.
-        Likewise a value whose runtime type would change a comparison's
-        meaning (a string where numbers are compared) falls back so Python
-        can raise its usual ``TypeError``.
+        A *missing* parameter is refused, not an error: the Python operators
+        resolve parameters lazily, so a plan whose predicate never runs
+        (empty input) evaluates fine unbound — only they can tell.  Likewise
+        a value whose runtime type would change a comparison's meaning (a
+        string where numbers are compared) is refused, and so is a value
+        sqlite3 cannot bind as is (NaN, an integer beyond 64 bits).
         """
         expected = dict(compiled.param_types)
         binding: dict[str, Any] = {}
@@ -551,6 +506,7 @@ class SqliteBackend:
                     raise BackendUnsupportedError(
                         f"parameter @{name} value {value!r} is not a SQLite scalar"
                     )
+                _refuse_unstorable(value, f"parameter @{name}")
                 value_type = literal_type(value)
                 for dtype in expected.get(name, ()):
                     if not comparable_in_sql(value_type, dtype):
@@ -565,15 +521,13 @@ class SqliteBackend:
         """Run ``plan`` and return the set-domain annotated row dict.
 
         Raises :class:`BackendUnsupportedError` when the plan or its
-        parameter binding cannot run faithfully on SQLite (callers fall
-        back to the Python operators) and re-raises genuine query failures
-        exactly as the Python engine would (division by zero surfaces as
-        :class:`QueryEvaluationError`).
+        parameter binding cannot run faithfully on SQLite, and re-raises
+        genuine query failures exactly as the Python engine would (division
+        by zero surfaces as :class:`QueryEvaluationError`).
         """
-        params = params or {}
+        compiled = compile_plan_to_sql(plan, self.instance.schema)
+        binding = self._binding(compiled, params or {})
         with self._lock:
-            compiled = self._compile(plan)
-            binding = self._binding(compiled, params)
             conn = self._connection()
             self._division.take_error()  # drop any stale record
             try:
@@ -589,7 +543,6 @@ class SqliteBackend:
                     # raised (e.g. TypeError for a string-typed parameter).
                     raise recorded
                 raise BackendUnsupportedError(str(exc)) from exc
-            self.stats["statements"] += 1
         bool_columns = [
             i for i, dtype in enumerate(compiled.dtypes) if dtype is DataType.BOOL
         ]
@@ -604,5 +557,16 @@ class SqliteBackend:
             return converted
         return {tuple(row): True for row in rows}
 
+    def rows(
+        self, expression: RAExpression, params: ParamValues | None = None
+    ) -> frozenset:
+        """The row set of ``expression``, computed on SQLite.
 
-_MISSING = object()
+        Runs the pushdown-only plan, so the engine's semijoin reduction and
+        build-side choice are checked against an executor that never saw
+        them.  Raises :class:`BackendUnsupportedError` instead of answering
+        when the plan or binding cannot run faithfully.
+        """
+        db = self.instance.schema
+        plan = compile_plan(optimize_expression(expression, db), db)
+        return frozenset(self.execute_plan(plan, params))

@@ -247,8 +247,8 @@ def referenced_params(
 ) -> frozenset:
     """Names of the query parameters a subplan's predicates read.
 
-    Shared by the executor's memo keys and the session's backend dispatch so
-    both derive identical cache keys for one plan.
+    Shared by the executor's memo keys and the delta maintainer so both
+    derive identical cache keys for one plan.
     """
     cached = cache.get(plan)
     if cached is None:

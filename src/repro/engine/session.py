@@ -41,12 +41,9 @@ and *deterministic* — concurrent throughput gains come from the shared
 caches, not from parallel plan execution, which the lock (and CPython's GIL)
 intentionally forgoes.
 
-``backend="sqlite"`` routes plain set-semantics evaluation through
-:class:`~repro.engine.backends.sqlite.SqliteBackend` — the optimized plan is
-compiled to SQL and executed on a cached ``:memory:`` database — while plans
-the dialect cannot express faithfully (and all provenance work) silently
-fall back to the Python operators.  Results land in the same memo either
-way, so cache hits are backend-independent.
+Every plan runs on the in-process operators.  SQLite is an independent
+oracle only (:class:`~repro.engine.backends.sqlite.SqliteBackend`): tests
+compare its rows with the session's, and nothing here calls it.
 """
 
 from __future__ import annotations
@@ -58,13 +55,11 @@ from typing import Any, Iterable, Mapping
 from repro.catalog.delta import Delta, RelationDelta
 from repro.catalog.instance import DatabaseInstance, ResultSet, Values
 from repro.catalog.schema import RelationSchema
-from repro.engine.backends import BACKEND_NAMES
 from repro.engine.domains import (
     PROVENANCE_DOMAIN,
     SET_DOMAIN,
     AnnotationDomain,
 )
-from repro.engine.columnar import as_mapping
 from repro.engine.delta import DeltaMaintainer, plan_scan_relations
 from repro.engine.logical import PlanNode, compile_plan
 from repro.engine.optimizer import (
@@ -73,7 +68,7 @@ from repro.engine.optimizer import (
     choose_build_sides,
     optimize_expression,
 )
-from repro.engine.physical import PlanExecutor, plan_memo_key
+from repro.engine.physical import PlanExecutor
 from repro.engine.stats import StatsCatalog
 from repro.engine.structural import KeyCache, StructuralKey
 from repro.errors import ReproError
@@ -88,24 +83,9 @@ ParamValues = Mapping[str, Any]
 class EngineSession:
     """Compile-and-execute service bound to one database instance."""
 
-    def __init__(
-        self,
-        instance: DatabaseInstance,
-        *,
-        backend: str = "python",
-        max_cached_results: int | None = None,
-    ) -> None:
-        if backend not in BACKEND_NAMES:
-            raise ReproError(
-                f"unknown execution backend {backend!r}; "
-                f"expected one of {', '.join(BACKEND_NAMES)}"
-            )
+    def __init__(self, instance: DatabaseInstance) -> None:
         self.instance = instance
-        self.backend = backend
         self._stats = StatsCatalog(instance)
-        if max_cached_results is not None:
-            self.max_cached_results = max_cached_results
-        self._sqlite: Any = None  # lazily created SqliteBackend
         self._keys = KeyCache()
         self._plans: dict[tuple[str, StructuralKey], PlanNode] = {}
         # Output schemas are pure functions of the database schema, so they
@@ -137,8 +117,6 @@ class EngineSession:
             "plan_hits": 0,
             "plan_misses": 0,
             "invalidations": 0,
-            "sqlite_statements": 0,
-            "sqlite_fallbacks": 0,
             "delta_maintained": 0,
             "delta_patched": 0,
             "delta_dropped": 0,
@@ -157,8 +135,7 @@ class EngineSession:
     #: Entry bound on each per-domain result memo.  Unlike the wholesale row
     #: bound above, this is enforced per insertion with LRU eviction, so a
     #: long-lived server session degrades gracefully instead of periodically
-    #: dropping its entire memo.  Override per instance via the
-    #: ``max_cached_results`` constructor knob.
+    #: dropping its entire memo.
     max_cached_results = 100_000
 
     def _check_version(self) -> None:
@@ -389,16 +366,10 @@ class EngineSession:
             analyzer = None
             if domain is SET_DOMAIN and operator_trace_enabled() and current_span() is not None:
                 # A traced request asked for per-operator spans: attach an
-                # analyzer and keep execution on the Python operators (the
-                # SQLite backend runs whole plans, so it has no operators to
-                # time).  Results land in the shared memo either way.
+                # analyzer.  Results land in the shared memo either way.
                 from repro.obs.analyze import PlanAnalyzer
 
                 analyzer = PlanAnalyzer(meta_cache=self._analyze_meta)
-            if self.backend == "sqlite" and domain is SET_DOMAIN and analyzer is None:
-                rows = self._run_sqlite(plan, params or {}, domain)
-                if rows is not None:
-                    return schema, rows
             executor = PlanExecutor(
                 self.instance,
                 params or {},
@@ -419,38 +390,6 @@ class EngineSession:
                     analyzer, self._analyze_estimator, est_cache=self._analyze_est
                 )
             return schema, result
-
-    def _run_sqlite(
-        self, plan: PlanNode, params: ParamValues, domain: AnnotationDomain
-    ) -> "dict[Values, Any] | None":
-        """Run a set-semantics plan on the SQLite backend; ``None`` → fall back.
-
-        Results are stored under the same memo key the Python executor would
-        use, so a row set computed by either backend serves later hits from
-        both.  Genuine query failures (e.g. division by zero) propagate as
-        the Python operators would raise them; unbound or type-incompatible
-        parameter bindings instead fall back, because only the Python
-        operators' lazy evaluation can tell whether they are an error at all.
-        """
-        from repro.engine.backends.sqlite import BackendUnsupportedError, SqliteBackend
-
-        memo = self._memo(domain)
-        key = plan_memo_key(plan, params, self._param_refs)
-        if key is not None:
-            cached = memo.get(key)
-            if cached is not None:
-                return as_mapping(cached)  # the Python path may cache batches
-        if self._sqlite is None:
-            self._sqlite = SqliteBackend(self.instance)
-        try:
-            rows = self._sqlite.execute_plan(plan, params)
-        except BackendUnsupportedError:
-            self.stats["sqlite_fallbacks"] += 1
-            return None
-        self.stats["sqlite_statements"] += 1
-        if key is not None:
-            memo[key] = rows
-        return rows
 
     def explain_analyze(self, expression: RAExpression, params: ParamValues | None = None):
         """EXPLAIN ANALYZE: execute under set semantics with per-operator timing.

@@ -9,8 +9,10 @@ verbatim on a database loaded via
 the rows the engine computes.
 
 The scalar/predicate rendering and type rules live in :mod:`repro.sqltext`
-— one implementation shared with the plan-level compiler in
-:mod:`repro.engine.backends.sqlite`, so the two SQL paths cannot drift.
+— one implementation shared with the plan-level compiler of the SQLite
+oracle (:mod:`repro.engine.backends.sqlite`), so the two SQL paths cannot
+drift.  Neither path grades anything: grading runs on the engine, and this
+text is for reading, exporting and differential tests.
 Dialect-correctness notes:
 
 * set semantics: base-relation scans and projections are ``SELECT

@@ -72,9 +72,9 @@ class RATest:
     submission, and the counterexample algorithms reuse the same caches.
     """
 
-    def __init__(self, instance: DatabaseInstance, *, backend: str = "python") -> None:
+    def __init__(self, instance: DatabaseInstance) -> None:
         self.instance = instance
-        self.session = EngineSession(instance, backend=backend)
+        self.session = EngineSession(instance)
 
     # -- parsing -------------------------------------------------------------
 

@@ -14,8 +14,8 @@ of the paper's auto-grader actually takes:
   each holding warm engine sessions per dataset spec; requests are routed by
   (dataset, seed) so a given dataset's cache locality is preserved;
 * :class:`~repro.server.store.ResultStore` — a persistent SQLite (WAL)
-  result store keyed by ``(schema_version, dataset, seed, backend,
-  reference-query hash, submission-query hash, options hash)``, so identical
+  result store keyed by ``(schema_version, dataset, seed, reference-query
+  hash, submission-query hash, options hash)``, so identical
   submissions are served from disk across restarts and across workers,
   bit-identical to a cold grade;
 * :class:`~repro.server.client.GradingClient` — the matching stdlib HTTP

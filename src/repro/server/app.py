@@ -118,7 +118,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 → pick a free ephemeral port (reported as .port)
     workers: int = 2
-    backend: str = "python"
     default_dataset: str = "toy-university"
     default_seed: int = 0
     #: Persistent store location; ``None`` keeps results in memory only.
@@ -173,7 +172,6 @@ class GradingServer:
         )
         self.pool = WorkerPool(
             WorkerConfig(
-                backend=self.config.backend,
                 default_dataset=self.config.default_dataset,
                 default_seed=self.config.default_seed,
                 warm_datasets=self.config.warm_datasets,
@@ -569,7 +567,6 @@ class GradingServer:
             "status": status,
             "version": repro.__version__,
             "schema_version": SCHEMA_VERSION,
-            "backend": self.config.backend,
             "workers": self.config.workers,
             "worker_restarts": self.pool.restarts,
             "queue_depth": self.pool.queue_depth(),
@@ -589,7 +586,6 @@ class GradingServer:
             "datasets": list(default_registry().known_datasets()),
             "default_dataset": self.config.default_dataset,
             "default_seed": self.config.default_seed,
-            "backend": self.config.backend,
         }
 
     def handle_datasets_mutate(self, payload: Any) -> tuple[int, dict[str, Any]]:
@@ -754,7 +750,6 @@ class GradingServer:
         return StoreKey.for_request(
             dataset=spec,
             seed=seed,
-            backend=self.config.backend,
             correct_query=display_text(request.correct_query),
             test_query=display_text(request.test_query),
             algorithm=request.algorithm,

@@ -1,11 +1,11 @@
 """The persistent result store: grades that survive restarts and workers.
 
 Grading is deterministic: for a fixed result-schema version, dataset spec,
-seed, execution backend, reference query, submission query and grading
-options, the outcome is always byte-identical (the serialization layer is
-canonical).  That makes a graded submission a perfect cache entry — and in a
-real class most submissions *are* repeats (re-submissions, the same classic
-mistake across students, a course re-run next semester).
+seed, reference query, submission query and grading options, the outcome
+is always byte-identical (the serialization layer is canonical).  That
+makes a graded submission a perfect cache entry — and in a real class most
+submissions *are* repeats (re-submissions, the same classic mistake across
+students, a course re-run next semester).
 
 :class:`ResultStore` is that cache, durably: one SQLite database in WAL
 mode, shared by every worker of one server and by every restart of it.  The
@@ -56,6 +56,12 @@ CREATE TABLE IF NOT EXISTS results (
 )
 """
 
+#: The only value the ``backend`` key column takes.  Grades have one
+#: execution path, so the column carries no information; it stays so store
+#: files and wire keys written by earlier versions, which hold ``"python"``
+#: there, keep matching.
+_BACKEND = "python"
+
 _KEY_COLUMNS = "schema_version, dataset, seed, backend, ref_hash, sub_hash, options_hash"
 _KEY_PREDICATE = (
     "schema_version = ? AND dataset = ? AND seed = ? AND backend = ? "
@@ -75,7 +81,8 @@ class StoreKey:
     (the DSL text is part of the grade: reports echo it back).
     ``options_hash`` folds in everything else that can change the outcome —
     algorithm, params, explain mode and algorithm options — so two requests
-    share a row only when a cold grade would be identical.
+    share a row only when a cold grade would be identical.  ``backend`` is
+    always ``"python"``; it is kept for the on-disk and wire format.
     """
 
     schema_version: int
@@ -92,7 +99,6 @@ class StoreKey:
         *,
         dataset: str,
         seed: int,
-        backend: str,
         correct_query: str,
         test_query: str,
         algorithm: str = "auto",
@@ -114,7 +120,7 @@ class StoreKey:
             schema_version=SCHEMA_VERSION,
             dataset=dataset,
             seed=seed,
-            backend=backend,
+            backend=_BACKEND,
             ref_hash=_sha256(correct_query),
             sub_hash=_sha256(test_query),
             options_hash=_sha256(fingerprint),
@@ -234,7 +240,7 @@ class ResultStore:
         """Drop every stored grade for ``dataset``; returns rows removed.
 
         The store's keys carry no data version — grades are deduplicated on
-        (schema, dataset, seed, backend, query hashes) alone — so after a
+        (schema, dataset, seed, query hashes) alone — so after a
         dataset mutation every stored grade for it is potentially stale and
         must go.  Grades for other datasets are untouched.
         """

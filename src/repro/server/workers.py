@@ -63,7 +63,6 @@ class WorkerConfig:
     Must stay picklable (plain data only): it is sent to every spawned worker.
     """
 
-    backend: str = "python"
     default_dataset: str = "toy-university"
     default_seed: int = 0
     #: Dataset specs resolved (instance built + session created) at worker
@@ -141,7 +140,6 @@ def _worker_main(worker_id: int, config: WorkerConfig, conn: Any, edits: tuple) 
     service = GradingService(
         default_dataset=config.default_dataset,
         default_seed=config.default_seed,
-        backend=config.backend,
     )
     for spec in dict.fromkeys((config.default_dataset, *config.warm_datasets)):
         with suppress(ReproError):

@@ -1,8 +1,8 @@
 """SQLite-dialect SQL text rendering shared by both RA-to-SQL compilers.
 
 Two compilers in this codebase emit executable SQLite SQL — the AST-level
-writer (:mod:`repro.parser.sql_writer`) and the plan-level backend compiler
-(:mod:`repro.engine.backends.sqlite`).  Their scalar/predicate rendering and
+writer (:mod:`repro.parser.sql_writer`) and the plan-level compiler of the
+SQLite oracle (:mod:`repro.engine.backends.sqlite`).  Their scalar/predicate rendering and
 type rules must never drift apart (the differential fuzz suite exists to
 catch exactly that), so the single implementation lives here, in a module
 that depends only on the catalog and predicate layers.
@@ -18,8 +18,8 @@ The semantics encoded here mirror the in-process engine, not idiomatic SQL:
   raises on zero); string ``+`` becomes ``||`` only when both sides are
   strings; boolean arithmetic is refused;
 * anything that cannot be expressed faithfully raises
-  :class:`BackendUnsupportedError` — callers treat that as "evaluate
-  in-process instead", never as a user-visible failure.
+  :class:`BackendUnsupportedError`: the SQL is refused rather than allowed
+  to answer differently from the engine.
 """
 
 from __future__ import annotations
@@ -48,15 +48,15 @@ Resolver = Callable[[str], "tuple[str, DataType | None]"]
 #: Renders a query parameter reference as SQL text.
 ParamRenderer = Callable[[Param], str]
 #: Records that a parameter is used where a value of the given type is
-#: expected (so backends can refuse type-incompatible bindings at run time).
+#: expected (so the oracle can refuse type-incompatible bindings at run time).
 Expectation = Callable[[str, DataType], None]
 
 
 class BackendUnsupportedError(ReproError):
     """The construct (or its data) cannot be expressed faithfully in SQLite.
 
-    Execution backends catch this and re-run the work on the in-process
-    Python operators, so it signals a fallback, never a wrong answer.
+    The SQLite oracle raises it instead of returning rows that might differ
+    from the engine's, so it signals "no answer", never a wrong one.
     """
 
 

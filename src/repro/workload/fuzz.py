@@ -1,10 +1,11 @@
-"""Seeded random RA query generation for differential backend testing.
+"""Seeded random RA query generation for differential testing.
 
-The SQLite backend claims bit-for-bit agreement with the in-process engine;
-that claim is only worth something if it is checked on queries nobody wrote
-by hand.  This module provides the pieces the differential suites
-(``tests/test_fuzz_differential.py`` and the counterexample mode of
-``tests/test_fuzz_counterexamples.py``) are built from:
+The engine claims bit-for-bit agreement with the reference interpreter and
+the SQLite oracle; that claim is only worth something if it is checked on
+queries nobody wrote by hand.  This module provides the pieces the
+differential suites (``tests/test_fuzz_differential.py`` and the
+counterexample mode of ``tests/test_fuzz_counterexamples.py``) are built
+from:
 
 * :class:`QueryFuzzer` — a schema-aware, depth-bounded random generator
   covering the full SPJUDA language (selection, projection, theta/natural
@@ -15,7 +16,7 @@ by hand.  This module provides the pieces the differential suites
   equi-join keys follow declared foreign keys — the shapes the cost-based
   optimizer rewrites — without disturbing the default mode's seed streams.
 * :func:`perturb_instance` — seeded random instance mutations (tuple
-  deletions and synthesized insertions), so backends are compared on data
+  deletions and synthesized insertions), so evaluators are compared on data
   they were not tuned for, including NULLs in nullable columns.
 * :func:`to_dsl` — renders a generated (or mutated) expression back into
   parseable DSL text.  Failures print this text as the reproduction
@@ -33,7 +34,7 @@ by hand.  This module provides the pieces the differential suites
 Generated queries are deliberately *boring* in two respects: literals are
 drawn from values that actually occur in the instance (so selections and
 joins are non-trivially selective), and SUM/AVG aggregates are restricted to
-integer attributes — float accumulation order differs between backends, and
+integer attributes — float accumulation order differs between evaluators, and
 the suite asserts exact equality, not tolerance.
 """
 
@@ -585,7 +586,7 @@ class QueryFuzzer:
                 aggregates.append(AggregateSpec(AggregateFunction.COUNT, None, alias))
             elif choice < 0.55 and int_columns:
                 # SUM/AVG stay on integers: float accumulation order differs
-                # between backends and the differential suite checks equality.
+                # between evaluators and the differential suite checks equality.
                 func = rng.choice((AggregateFunction.SUM, AggregateFunction.AVG))
                 aggregates.append(AggregateSpec(func, rng.choice(int_columns), alias))
             elif choice < 0.8:

@@ -81,8 +81,9 @@ class TestRegistration:
         assert registry.resolve("hidden", seed=5) is base
         assert registry.resolve("hidden:whatever", seed=7) is base
 
-    def test_handle_cache_is_bounded(self, registry):
-        registry.max_handles = 3
+    def test_handle_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(DatasetRegistry, "DEFAULT_MAX_HANDLES", 3)
+        registry = DatasetRegistry()
         for n in range(5):
             registry.register_instance(f"ds{n}", toy_university_instance())
             registry.resolve(f"ds{n}")

@@ -1,22 +1,24 @@
-"""The SQLite backend: semantics units plus workload SQL round trips.
+"""The SQLite oracle: semantics units plus workload SQL round trips.
 
 Two layers of guarantees:
 
 * every course/beers/TPC-H workload query — correct references *and* wrong
-  variants — (a) evaluates identically on the Python and SQLite backends
-  through ``EngineSession``, and (b) has ``to_sql`` output that executes
-  verbatim on a loaded SQLite database and returns the same rows;
+  variants — (a) has the same row set on the engine and on the SQLite
+  oracle (:meth:`SqliteBackend.rows`), and (b) has ``to_sql`` output that
+  executes verbatim on a loaded SQLite database and returns the same rows;
 * targeted unit tests for the dialect corners where SQL and the engine
   disagree by default: two-valued NULL logic under ``NOT``, null-safe join
   keys, Python division, BOOL round trips, quoting of reserved/dotted
   identifiers, parameter binding, empty-input aggregates, data-version
-  reloads, and the fallback protocol for inexpressible plans.
+  reloads, and the refusal (``BackendUnsupportedError``) of plans, data and
+  bindings SQLite cannot run faithfully.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.catalog.constraints import ForeignKeyConstraint
 from repro.catalog.instance import DatabaseInstance
 from repro.catalog.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.catalog.types import DataType
@@ -26,7 +28,8 @@ from repro.engine.backends.sqlite import (
     compile_plan_to_sql,
     connect_instance,
 )
-from repro.engine.logical import compile_plan
+from repro.engine.domains import SET_DOMAIN
+from repro.engine.logical import SemiJoinOp, compile_plan, plan_operators
 from repro.engine.session import EngineSession
 from repro.errors import QueryEvaluationError
 from repro.datagen import (
@@ -68,34 +71,35 @@ def _workloads():
 _WORKLOADS = _workloads()
 
 
+def _per_instance(factory):
+    cache = {}
+
+    def get(instance):
+        key = id(instance)
+        if key not in cache:
+            cache[key] = factory(instance)
+        return cache[key]
+
+    return get, cache
+
+
 class TestWorkloadRoundTrips:
     """Acceptance: every workload query's SQL executes on SQLite."""
 
     @pytest.fixture(scope="class")
     def connections(self):
-        cache = {}
-
-        def connection_for(instance):
-            key = id(instance)
-            if key not in cache:
-                cache[key] = connect_instance(instance)
-            return cache[key]
-
+        connection_for, cache = _per_instance(connect_instance)
         yield connection_for
         for conn in cache.values():
             conn.close()
 
     @pytest.fixture(scope="class")
     def sessions(self):
-        cache = {}
+        return _per_instance(EngineSession)[0]
 
-        def session_for(instance, backend):
-            key = (id(instance), backend)
-            if key not in cache:
-                cache[key] = EngineSession(instance, backend=backend)
-            return cache[key]
-
-        return session_for
+    @pytest.fixture(scope="class")
+    def oracles(self):
+        return _per_instance(SqliteBackend)[0]
 
     @pytest.mark.parametrize(
         "workload,instance,text",
@@ -110,7 +114,7 @@ class TestWorkloadRoundTrips:
         fetched = frozenset(
             tuple(row) for row in connections(instance).execute(sql).fetchall()
         )
-        expected = sessions(instance, "python").evaluate(expression).rows
+        expected = sessions(instance).evaluate(expression).rows
         assert fetched == expected
 
     @pytest.mark.parametrize(
@@ -118,13 +122,9 @@ class TestWorkloadRoundTrips:
         _WORKLOADS,
         ids=[f"{w}-{i}" for i, (w, _, _) in enumerate(_WORKLOADS)],
     )
-    def test_sqlite_backend_matches_python_backend(
-        self, workload, instance, text, sessions
-    ):
+    def test_oracle_matches_engine(self, workload, instance, text, sessions, oracles):
         expression = parse_query(text)
-        expected = sessions(instance, "python").evaluate(expression)
-        actual = sessions(instance, "sqlite").evaluate(expression)
-        assert actual.rows == expected.rows
+        assert oracles(instance).rows(expression) == sessions(instance).evaluate(expression).rows
 
 
 class TestNullSemantics:
@@ -158,8 +158,7 @@ class TestNullSemantics:
         # the row.  Plain SQL three-valued logic would drop it.
         query = parse_query("\\select_{not (k = 1)} T")
         python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows
+        assert python.rows == SqliteBackend(instance).rows(query)
         assert (None, "b") in python.rows
 
     def test_null_join_keys_match_like_dict_keys(self, instance):
@@ -169,8 +168,7 @@ class TestNullSemantics:
             "(\\rename_{prefix: a} T) \\join_{a.k = b.k} (\\rename_{prefix: b} U)"
         )
         python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows
+        assert python.rows == SqliteBackend(instance).rows(query)
         assert any(row[0] is None for row in python.rows)
 
 
@@ -184,10 +182,9 @@ class TestDialectCorners:
         )
         query = Selection(RelationRef("Registration"), predicate)
         python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows
+        assert python.rows == SqliteBackend(instance).rows(query)
 
-    def test_division_by_zero_raises_on_both_backends(self):
+    def test_division_by_zero_raises_on_engine_and_oracle(self):
         instance = toy_university_instance()
         predicate = Comparison(
             ">", Arithmetic("/", ColumnRef("grade"), Literal(0)), Literal(1)
@@ -196,46 +193,35 @@ class TestDialectCorners:
         with pytest.raises(QueryEvaluationError):
             EngineSession(instance).evaluate(query)
         with pytest.raises(QueryEvaluationError):
-            EngineSession(instance, backend="sqlite").evaluate(query)
+            SqliteBackend(instance).rows(query)
 
-    def test_cross_type_ordering_comparison_fails_identically(self):
+    def test_cross_type_ordering_comparison_is_refused(self):
         # SQLite would order 'Mary' < 5 by storage class; the Python
-        # operators raise TypeError.  The backend must fall back so both
-        # backends produce the same (internal) error — grades stay
-        # backend-independent even for type-broken submissions.
+        # operators raise TypeError.  The oracle must refuse, not answer.
         instance = toy_university_instance()
         query = parse_query("\\select_{name < 5} Student")
         with pytest.raises(TypeError):
             EngineSession(instance).evaluate(query)
-        session = EngineSession(instance, backend="sqlite")
-        with pytest.raises(TypeError):
-            session.evaluate(query)
-        assert session.stats["sqlite_fallbacks"] == 1
+        with pytest.raises(BackendUnsupportedError):
+            SqliteBackend(instance).rows(query)
 
-    def test_cross_type_equality_falls_back_consistently(self):
+    def test_cross_type_equality_is_refused(self):
         # name = 5 is simply false everywhere in Python; SQLite's comparison
         # affinity could coerce and match — so it must not run on SQLite.
         instance = toy_university_instance()
         query = parse_query("\\select_{name = 5} Student")
-        python = EngineSession(instance).evaluate(query)
-        session = EngineSession(instance, backend="sqlite")
-        assert session.evaluate(query).rows == python.rows == frozenset()
-        assert session.stats["sqlite_fallbacks"] == 1
+        assert EngineSession(instance).evaluate(query).rows == frozenset()
+        with pytest.raises(BackendUnsupportedError):
+            SqliteBackend(instance).rows(query)
 
-    def test_cross_type_grading_is_backend_independent(self):
+    def test_cross_type_grading_is_an_internal_error(self):
         from repro.api import GradingService
 
         instance = toy_university_instance()
         correct = "\\project_{name} Student"
         broken = "\\select_{name < 5} \\project_{name} Student"
-        python = GradingService.for_instance(instance, name="h").check(correct, broken)
-        sqlite = GradingService.for_instance(
-            instance, name="h", backend="sqlite"
-        ).check(correct, broken)
-        assert python.to_dict(include_timings=False) == sqlite.to_dict(
-            include_timings=False
-        )
-        assert python.error_kind == "internal_error"
+        outcome = GradingService.for_instance(instance, name="h").check(correct, broken)
+        assert outcome.error_kind == "internal_error"
 
     def test_string_division_is_not_compiled(self):
         instance = toy_university_instance()
@@ -248,10 +234,10 @@ class TestDialectCorners:
         with pytest.raises(BackendUnsupportedError):
             compile_plan_to_sql(plan, instance.schema)
 
-    def test_string_typed_parameter_division_raises_typeerror_on_both(self):
-        # The parameter's type is unknown at compile time, so division does
-        # run on SQLite — the UDF must then surface Python's real TypeError,
-        # not a fabricated division-by-zero.
+    def test_string_typed_parameter_division_is_refused(self):
+        # The parameter is divided into a number, so the binding expects a
+        # number: a string is refused before SQLite could coerce it, while
+        # the Python operators raise their TypeError.
         instance = toy_university_instance()
         predicate = Comparison(
             ">", Arithmetic("/", ColumnRef("grade"), Param("d")), Literal(1)
@@ -259,8 +245,8 @@ class TestDialectCorners:
         query = Selection(RelationRef("Registration"), predicate)
         with pytest.raises(TypeError):
             EngineSession(instance).evaluate(query, {"d": "oops"})
-        with pytest.raises(TypeError):
-            EngineSession(instance, backend="sqlite").evaluate(query, {"d": "oops"})
+        with pytest.raises(BackendUnsupportedError):
+            SqliteBackend(instance).rows(query, {"d": "oops"})
 
     def test_bool_columns_round_trip(self):
         schema = DatabaseSchema.of(
@@ -275,9 +261,9 @@ class TestDialectCorners:
         instance.relation("Flags").insert_all([("a", True), ("b", False)])
         query = parse_query("\\select_{active = true} Flags")
         python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows == frozenset({("a", True)})
-        (row,) = sqlite.rows
+        sqlite = SqliteBackend(instance).rows(query)
+        assert python.rows == sqlite == frozenset({("a", True)})
+        (row,) = sqlite
         assert row[1] is True  # int 1 would break bit-identical serialization
 
     def test_reserved_and_dotted_identifiers(self):
@@ -293,8 +279,7 @@ class TestDialectCorners:
         instance.relation("order").insert_all([("g1", 1), ("g2", 2)])
         query = parse_query('\\project_{p.group -> g} \\select_{p.select > 1} \\rename_{prefix: p} order')
         python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows == frozenset({("g2",)})
+        assert python.rows == SqliteBackend(instance).rows(query) == frozenset({("g2",)})
         sql = to_sql(query, schema)
         conn = connect_instance(instance)
         assert frozenset(conn.execute(sql).fetchall()) == {("g2",)}
@@ -304,69 +289,78 @@ class TestDialectCorners:
         instance = toy_university_instance()
         query = parse_query("\\project_{name} \\select_{grade >= @cutoff} Registration")
         python = EngineSession(instance).evaluate(query, {"cutoff": 95})
-        session = EngineSession(instance, backend="sqlite")
-        sqlite = session.evaluate(query, {"cutoff": 95})
-        assert python.rows == sqlite.rows
-        assert session.stats["sqlite_statements"] == 1
-        # Unbound parameters fail the same way as the Python operators.
+        oracle = SqliteBackend(instance)
+        assert python.rows == oracle.rows(query, {"cutoff": 95})
+        # An unbound parameter is an engine error and an oracle refusal.
         with pytest.raises(QueryEvaluationError, match="unbound query parameter"):
-            session.evaluate(query, {})
+            EngineSession(instance).evaluate(query, {})
+        with pytest.raises(BackendUnsupportedError, match="unbound"):
+            oracle.rows(query, {})
 
-    def test_string_valued_parameter_against_numeric_column_fails_identically(self):
+    def test_string_valued_parameter_against_numeric_column_is_refused(self):
         # SQLite's cross-type ordering would happily answer grade < 'abc';
-        # the binding check must refuse it so Python raises its TypeError
-        # on both backends.
+        # the binding check must refuse it (Python raises its TypeError).
         instance = toy_university_instance()
         query = parse_query("\\select_{grade < @p} Registration")
         with pytest.raises(TypeError):
             EngineSession(instance).evaluate(query, {"p": "abc"})
-        session = EngineSession(instance, backend="sqlite")
-        with pytest.raises(TypeError):
-            session.evaluate(query, {"p": "abc"})
-        assert session.stats["sqlite_fallbacks"] == 1
+        with pytest.raises(BackendUnsupportedError):
+            SqliteBackend(instance).rows(query, {"p": "abc"})
 
-    def test_unbound_parameter_over_empty_input_matches_python_laziness(self):
+    def test_unbound_parameter_over_empty_input_is_refused(self):
         # The Python operators resolve parameters lazily: if the filter's
-        # input is empty the parameter is never read, so no error.  The
-        # backend must fall back rather than eagerly refusing to bind.
+        # input is empty the parameter is never read, so no error.  Only
+        # they can tell, so the oracle refuses to bind rather than guess.
         instance = toy_university_instance()
         query = parse_query(
             "\\select_{grade < @p} \\select_{dept = 'NOPE'} Registration"
         )
-        python = EngineSession(instance).evaluate(query, {})
-        session = EngineSession(instance, backend="sqlite")
-        assert session.evaluate(query, {}).rows == python.rows == frozenset()
-        assert session.stats["sqlite_fallbacks"] == 1
+        assert EngineSession(instance).evaluate(query, {}).rows == frozenset()
+        with pytest.raises(BackendUnsupportedError):
+            SqliteBackend(instance).rows(query, {})
+
+    def test_nan_parameter_is_refused(self):
+        # sqlite3 binds NaN as NULL: grade != NULL keeps no row in SQLite,
+        # while grade != nan keeps every row in Python.
+        instance = toy_university_instance()
+        query = parse_query("\\select_{grade != @p} Registration")
+        python = EngineSession(instance).evaluate(query, {"p": float("nan")})
+        assert len(python.rows) == len(instance.relation("Registration"))
+        with pytest.raises(BackendUnsupportedError, match="NaN"):
+            SqliteBackend(instance).rows(query, {"p": float("nan")})
+
+    def test_oversized_integer_parameter_is_refused(self):
+        # sqlite3 raises OverflowError binding an integer beyond 64 bits.
+        instance = toy_university_instance()
+        query = parse_query("\\select_{grade < @p} Registration")
+        python = EngineSession(instance).evaluate(query, {"p": 2**70})
+        assert len(python.rows) == len(instance.relation("Registration"))
+        oracle = SqliteBackend(instance)
+        with pytest.raises(BackendUnsupportedError, match="64-bit"):
+            oracle.rows(query, {"p": 2**70})
+        with pytest.raises(BackendUnsupportedError, match="64-bit"):
+            oracle.rows(query, {"p": -(2**63) - 1})
+        assert oracle.rows(query, {"p": 2**63 - 1}) == python.rows
 
     def test_ungrouped_aggregate_over_empty_input_yields_no_rows(self):
         instance = toy_university_instance()
         query = parse_query("\\aggr_{ ; count(*) -> n} \\select_{dept = 'NOPE'} Registration")
         python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows == frozenset()
+        assert python.rows == SqliteBackend(instance).rows(query) == frozenset()
 
 
-class TestBackendLifecycle:
+class TestOracleLifecycle:
     def test_data_version_reload(self):
         instance = toy_university_instance()
-        session = EngineSession(instance, backend="sqlite")
+        oracle = SqliteBackend(instance)
         query = parse_query("\\project_{name} Student")
-        before = session.evaluate(query).rows
+        before = oracle.rows(query)
         instance.relation("Student").insert(("Zoe", "ART"))
-        after = session.evaluate(query).rows
+        after = oracle.rows(query)
         assert ("Zoe",) in after and ("Zoe",) not in before
+        assert after == EngineSession(instance).evaluate(query).rows
 
-    def test_compiled_sql_is_cached_per_plan(self):
-        instance = toy_university_instance()
-        backend = SqliteBackend(instance)
-        plan = compile_plan(parse_query("\\select_{dept = 'CS'} Registration"), instance.schema)
-        backend.execute_plan(plan)
-        backend.execute_plan(plan)
-        assert backend.stats["compile_misses"] == 1
-        assert backend.stats["statements"] == 2
-        assert backend.stats["loads"] == 1
-
-    def test_unsupported_plan_falls_back_to_python(self):
+    def test_unsupported_plan_is_refused(self):
         class OpaquePredicate(Predicate):
             """Not a member of the compilable predicate grammar."""
 
@@ -384,11 +378,9 @@ class TestBackendLifecycle:
 
         instance = toy_university_instance()
         query = Selection(RelationRef("Registration"), OpaquePredicate())
-        session = EngineSession(instance, backend="sqlite")
-        python = EngineSession(instance).evaluate(query)
-        assert session.evaluate(query).rows == python.rows
-        assert session.stats["sqlite_fallbacks"] == 1
-        assert session.stats["sqlite_statements"] == 0
+        assert EngineSession(instance).evaluate(query).rows
+        with pytest.raises(BackendUnsupportedError):
+            SqliteBackend(instance).rows(query)
 
     def test_compile_rejects_opaque_scalars(self):
         instance = toy_university_instance()
@@ -401,36 +393,53 @@ class TestBackendLifecycle:
         with pytest.raises(BackendUnsupportedError):
             compile_plan_to_sql(plan, instance.schema)
 
-    def test_nan_data_falls_back_instead_of_becoming_null(self):
+    def test_nan_data_is_refused_instead_of_becoming_null(self):
         # sqlite3 binds NaN as NULL, which would silently change results;
-        # the loader must refuse so the session falls back to Python.
+        # the loader must refuse, on every call until the data changes.
         schema = DatabaseSchema.of(
             [RelationSchema.of("M", [("k", DataType.INT), ("x", DataType.FLOAT)])]
         )
         instance = DatabaseInstance(schema)
         instance.relation("M").insert_all([(1, 1.5), (2, float("nan"))])
-        python = EngineSession(instance).evaluate(parse_query("M"))
-        session = EngineSession(instance, backend="sqlite")
-        sqlite = session.evaluate(parse_query("M"))
-        assert session.stats["sqlite_fallbacks"] == 1
-        assert not any(row[1] is None for row in sqlite.rows)
-        assert len(sqlite.rows) == len(python.rows) == 2
+        assert len(EngineSession(instance).evaluate(parse_query("M")).rows) == 2
+        oracle = SqliteBackend(instance)
+        with pytest.raises(BackendUnsupportedError, match="NaN"):
+            oracle.rows(parse_query("M"))
+        with pytest.raises(BackendUnsupportedError):
+            oracle.rows(parse_query("M"))
 
-    def test_oversized_integers_fall_back(self):
+    def test_oversized_integers_are_refused(self):
         instance = toy_university_instance()
         predicate = Comparison("<", ColumnRef("grade"), Literal(2**70))
         query = Selection(RelationRef("Registration"), predicate)
-        session = EngineSession(instance, backend="sqlite")
-        python = EngineSession(instance).evaluate(query)
-        assert session.evaluate(query).rows == python.rows
-        assert session.stats["sqlite_fallbacks"] == 1
+        assert EngineSession(instance).evaluate(query).rows
+        with pytest.raises(BackendUnsupportedError):
+            SqliteBackend(instance).rows(query)
 
-    def test_provenance_stays_on_python_operators(self):
-        instance = toy_university_instance()
-        session = EngineSession(instance, backend="sqlite")
-        schema, rows = session.annotated_rows(parse_query("\\select_{dept = 'CS'} Registration"))
-        reference = EngineSession(instance).annotated_rows(
-            parse_query("\\select_{dept = 'CS'} Registration")
+    def test_oracle_checks_semijoin_reduced_plans_without_running_them(self):
+        # The engine reduces an FK join with a semijoin; the oracle runs the
+        # pushdown-only plan, so it checks that rewrite from outside.  A
+        # reduced plan itself is refused rather than compiled.
+        schema = DatabaseSchema.of(
+            [
+                RelationSchema.of("Child", [("k", DataType.INT), ("v", DataType.INT)]),
+                RelationSchema.of("Parent", [("k", DataType.INT)]),
+            ]
         )
-        assert rows == reference[1]
-        assert session.stats["sqlite_statements"] == 0
+        schema.add_constraint(ForeignKeyConstraint("Child", ("k",), "Parent", ("k",)))
+        instance = DatabaseInstance(schema)
+        for i in range(100):
+            instance.insert("Child", (i % 50, i))
+        for i in range(5):
+            instance.insert("Parent", (i,))
+        query = parse_query(
+            "(\\select_{c.v > 10} \\rename_{prefix: c} Child) "
+            "\\join_{c.k = p.k} (\\rename_{prefix: p} Parent)"
+        )
+        session = EngineSession(instance)
+        reduced = session._plan(query, SET_DOMAIN)
+        assert any(isinstance(op, SemiJoinOp) for op in plan_operators(reduced))
+        expected = session.evaluate(query).rows
+        assert expected and SqliteBackend(instance).rows(query) == expected
+        with pytest.raises(BackendUnsupportedError):
+            compile_plan_to_sql(reduced, instance.schema)

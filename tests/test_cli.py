@@ -144,51 +144,6 @@ class TestBatchCommand:
         payload = json.loads(line)
         assert payload["dataset"] == "university:20"
 
-    def test_batch_backend_flag_grades_identically(self, tmp_path, capsys):
-        submissions = self.write_submissions(tmp_path)
-        python_output = tmp_path / "python.jsonl"
-        sqlite_output = tmp_path / "sqlite.jsonl"
-        assert main(["batch", "--input", str(submissions), "--output", str(python_output)]) == 0
-        assert (
-            main(
-                [
-                    "batch",
-                    "--input",
-                    str(submissions),
-                    "--output",
-                    str(sqlite_output),
-                    "--backend",
-                    "sqlite",
-                ]
-            )
-            == 0
-        )
-
-        def stable(path):
-            from repro.api import GradedSubmission
-
-            return [
-                GradedSubmission.from_dict(grade).to_dict(include_timings=False)
-                for grade in self.read_grades(path)
-            ]
-
-        assert stable(sqlite_output) == stable(python_output)
-
-    def test_explain_backend_flag(self, capsys):
-        exit_code = main(
-            [
-                "explain",
-                "--backend",
-                "sqlite",
-                "--correct",
-                "\\project_{name} \\select_{dept = 'ECON'} Registration",
-                "--test",
-                "\\project_{name} Registration",
-            ]
-        )
-        assert exit_code == 1  # wrong submission, counterexample found
-        assert "counterexample" in capsys.readouterr().out.lower()
-
     def test_batch_rejects_bad_json(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json\n")

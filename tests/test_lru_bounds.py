@@ -68,8 +68,9 @@ class TestLRUCache:
 
 
 class TestSessionResultMemoBound:
-    def test_memo_is_bounded_and_counts_evictions(self, toy_university):
-        session = EngineSession(toy_university, max_cached_results=2)
+    def test_memo_is_bounded_and_counts_evictions(self, toy_university, monkeypatch):
+        monkeypatch.setattr(EngineSession, "max_cached_results", 2)
+        session = EngineSession(toy_university)
         queries = [
             parse_query("Student"),
             parse_query("Registration"),
@@ -91,8 +92,9 @@ class TestSessionResultMemoBound:
         session.evaluate(query)
         assert session.cache_info()["result_hits"] > before
 
-    def test_eviction_only_costs_recomputation(self, toy_university):
-        session = EngineSession(toy_university, max_cached_results=1)
+    def test_eviction_only_costs_recomputation(self, toy_university, monkeypatch):
+        monkeypatch.setattr(EngineSession, "max_cached_results", 1)
+        session = EngineSession(toy_university)
         query1 = parse_query("\\project_{name} Student")
         query2 = parse_query("\\project_{name} Registration")
         first = session.evaluate(query1)
@@ -110,9 +112,10 @@ class TestSessionResultMemoBound:
 
 
 class TestSessionRowTotal:
-    def test_running_total_matches_a_recount(self):
+    def test_running_total_matches_a_recount(self, monkeypatch):
+        monkeypatch.setattr(EngineSession, "max_cached_results", 4)
         instance = toy_university_instance()
-        session = EngineSession(instance, max_cached_results=4)
+        session = EngineSession(instance)
 
         def running() -> int:
             return sum(memo.weight for memo in session._results.values())
@@ -148,8 +151,9 @@ class TestSessionRowTotal:
 
 
 class TestRegistryHandleCounters:
-    def test_resolve_counts_hits_misses_evictions(self):
-        registry = DatasetRegistry(max_handles=2)
+    def test_resolve_counts_hits_misses_evictions(self, monkeypatch):
+        monkeypatch.setattr(DatasetRegistry, "DEFAULT_MAX_HANDLES", 2)
+        registry = DatasetRegistry()
         registry.resolve("toy-university")
         registry.resolve("toy-university")  # warm hit
         registry.resolve("toy-beers")
@@ -159,14 +163,6 @@ class TestRegistryHandleCounters:
         assert info["handle_hits"] == 1
         assert info["handle_misses"] == 3
         assert info["handle_evictions"] == 1
-
-    def test_max_handles_knob_is_live(self):
-        registry = DatasetRegistry()
-        assert registry.max_handles == DatasetRegistry.DEFAULT_MAX_HANDLES
-        registry.max_handles = 1
-        registry.resolve("toy-university")
-        registry.resolve("toy-beers")
-        assert registry.cache_info()["resolved_handles"] == 1
 
     def test_session_stats_aggregates_over_handles(self):
         registry = DatasetRegistry()

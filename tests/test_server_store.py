@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
+import sqlite3
 import threading
+import time
 
 import pytest
 
 from repro.api import GradingService, SubmissionRequest
+from repro.api.serialization import SCHEMA_VERSION
 from repro.server.store import ResultStore, StoreKey
 from repro.server.workers import grade_envelope
 
@@ -20,7 +24,6 @@ def make_key(**overrides) -> StoreKey:
     fields = dict(
         dataset="toy-university",
         seed=0,
-        backend="python",
         correct_query=REFERENCE,
         test_query=SUBMISSION,
     )
@@ -37,7 +40,6 @@ class TestStoreKey:
         [
             {"dataset": "university:50"},
             {"seed": 7},
-            {"backend": "sqlite"},
             {"correct_query": SUBMISSION},
             {"test_query": REFERENCE},
             {"algorithm": "basic"},
@@ -53,6 +55,63 @@ class TestStoreKey:
         a = make_key(params={"a": 1, "b": 2})
         b = make_key(params={"b": 2, "a": 1})
         assert a == b
+
+
+def _parent_key_fields() -> dict:
+    """``make_key()`` as earlier versions wrote it: hashed by hand, ``backend='python'``."""
+
+    def sha256(text: str) -> str:
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    options = {"algorithm": "auto", "params": None, "explain": True, "options": {}}
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "dataset": "toy-university",
+        "seed": 0,
+        "backend": "python",
+        "ref_hash": sha256(REFERENCE),
+        "sub_hash": sha256(SUBMISSION),
+        "options_hash": sha256(json.dumps(options, sort_keys=True, default=repr)),
+    }
+
+
+class TestEarlierVersionCompatibility:
+    """Store files and wire keys that still carry the ``backend`` column."""
+
+    def test_row_written_with_the_earlier_ddl_is_a_hit(self, tmp_path):
+        path = str(tmp_path / "earlier.sqlite3")
+        earlier = sqlite3.connect(path)
+        earlier.execute(
+            """
+            CREATE TABLE results (
+                schema_version  INTEGER NOT NULL,
+                dataset         TEXT    NOT NULL,
+                seed            INTEGER NOT NULL,
+                backend         TEXT    NOT NULL,
+                ref_hash        TEXT    NOT NULL,
+                sub_hash        TEXT    NOT NULL,
+                options_hash    TEXT    NOT NULL,
+                payload         TEXT    NOT NULL,
+                created_at_unix REAL    NOT NULL,
+                PRIMARY KEY (schema_version, dataset, seed, backend,
+                             ref_hash, sub_hash, options_hash)
+            )
+            """
+        )
+        fields = _parent_key_fields()
+        earlier.execute(
+            "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (*fields.values(), json.dumps({"correct": False}), time.time()),
+        )
+        earlier.commit()
+        earlier.close()
+        with ResultStore(path) as store:
+            assert store.get(make_key()) == {"correct": False}
+
+    def test_earlier_wire_key_equals_the_new_key(self):
+        key = StoreKey.from_dict(_parent_key_fields())
+        assert key == make_key()
+        assert make_key().to_dict() == _parent_key_fields()
 
 
 class TestResultStore:
@@ -118,7 +177,6 @@ def _race_worker(path: str, barrier, results) -> None:
     key = StoreKey.for_request(
         dataset="toy-university",
         seed=0,
-        backend="python",
         correct_query=REFERENCE,
         test_query=SUBMISSION,
     )
@@ -172,9 +230,6 @@ class TestAgeAndMigration:
             assert oldest < 60.0  # both rows were written just now
 
     def test_legacy_created_at_column_is_migrated(self, tmp_path):
-        import sqlite3
-        import time
-
         path = str(tmp_path / "legacy.sqlite3")
         legacy = sqlite3.connect(path)
         legacy.execute(

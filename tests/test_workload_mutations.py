@@ -4,9 +4,10 @@ Every mutation operator is applied to every course question, and every
 resulting mutant must behave like a real (wrong) student submission:
 
 * its DSL rendering parses back to an equivalent query,
-* it evaluates to identical rows on the Python and SQLite backends,
-* it is gradeable end-to-end through :class:`GradingService` — on *both*
-  backends, with bit-identical outcomes.
+* it evaluates to the rows the SQLite oracle computes,
+* it is gradeable end-to-end through :class:`GradingService`, and the grade's
+  verdict is the oracle's: correct exactly when the oracle's row sets of the
+  reference and the mutant are equal.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro.api import GradingService
 from repro.datagen import toy_university_instance
+from repro.engine.backends.sqlite import SqliteBackend
 from repro.engine.session import EngineSession
 from repro.parser import parse_query
 from repro.workload import (
@@ -46,15 +48,30 @@ def instance():
 
 
 @pytest.fixture(scope="module")
-def sessions(instance):
-    return EngineSession(instance), EngineSession(instance, backend="sqlite")
+def session(instance):
+    return EngineSession(instance)
 
 
 @pytest.fixture(scope="module")
-def services(instance):
-    python = GradingService.for_instance(instance, name="hidden")
-    sqlite = GradingService.for_instance(instance, name="hidden", backend="sqlite")
-    return python, sqlite
+def oracle(instance):
+    return SqliteBackend(instance)
+
+
+@pytest.fixture(scope="module")
+def service(instance):
+    return GradingService.for_instance(instance, name="hidden")
+
+
+def _assert_graded_like_the_oracle(service, oracle, label, reference, mutant) -> None:
+    """The mutant grades without error, with the oracle's verdict."""
+    outcome = service.check(reference, mutant.query)
+    assert outcome.error is None, (
+        f"{label} is not gradeable ({outcome.error_kind}: {outcome.error}); "
+        f"mutant: {mutant.description}"
+    )
+    assert outcome.correct == (oracle.rows(reference) == oracle.rows(mutant.query)), (
+        f"{label} is graded against the oracle's verdict; mutant: {mutant.description}"
+    )
 
 
 def _mutants_by_operator(operator):
@@ -88,51 +105,36 @@ class TestEveryOperatorOnEveryQuestion:
             parse_query(to_dsl(mutant.query))
 
     @pytest.mark.parametrize("name,operator", _OPERATORS, ids=[n for n, _ in _OPERATORS])
-    def test_mutants_parse_and_evaluate_on_both_backends(
-        self, name, operator, sessions
-    ):
-        python_session, sqlite_session = sessions
+    def test_mutants_parse_and_match_the_oracle(self, name, operator, session, oracle):
         for question, mutant in _mutants_by_operator(operator):
             text = to_dsl(mutant.query)
             reparsed = parse_query(text)
-            rows = python_session.evaluate(mutant.query).rows
-            assert python_session.evaluate(reparsed).rows == rows, (
+            rows = session.evaluate(mutant.query).rows
+            assert session.evaluate(reparsed).rows == rows, (
                 f"{name} mutant of {question.key} does not round-trip: {text}"
             )
-            assert sqlite_session.evaluate(mutant.query).rows == rows, (
+            assert oracle.rows(mutant.query) == rows, (
                 f"{name} mutant of {question.key} diverges on SQLite: {text}"
             )
 
     @pytest.mark.parametrize("name,operator", _OPERATORS, ids=[n for n, _ in _OPERATORS])
-    def test_mutants_are_gradeable_end_to_end(self, name, operator, services):
-        python_service, sqlite_service = services
+    def test_mutants_are_gradeable_end_to_end(self, name, operator, service, oracle):
         for question, mutant in _mutants_by_operator(operator):
-            python_outcome = python_service.check(question.correct_query, mutant.query)
-            sqlite_outcome = sqlite_service.check(question.correct_query, mutant.query)
-            assert python_outcome.error is None, (
-                f"{name} mutant of {question.key} is not gradeable "
-                f"({python_outcome.error_kind}: {python_outcome.error}); "
-                f"mutant: {mutant.description}"
+            _assert_graded_like_the_oracle(
+                service, oracle, f"{name} mutant of {question.key}",
+                question.correct_query, mutant,
             )
-            assert (
-                python_outcome.to_dict(include_timings=False)
-                == sqlite_outcome.to_dict(include_timings=False)
-            ), f"{name} mutant of {question.key} grades differently across backends"
 
 
-def test_full_mutant_pool_is_gradeable(services):
+def test_full_mutant_pool_is_gradeable(service, oracle):
     """The deduplicated pool (as used by the experiments) grades cleanly."""
-    python_service, sqlite_service = services
     graded = 0
     for question in course_questions():
         for mutant in generate_mutants(
             question.correct_query, constant_pool=_CONSTANT_POOL, max_mutants=6
         ):
-            outcome = python_service.check(question.correct_query, mutant.query)
-            assert outcome.error is None
-            sqlite_outcome = sqlite_service.check(question.correct_query, mutant.query)
-            assert outcome.to_dict(include_timings=False) == sqlite_outcome.to_dict(
-                include_timings=False
+            _assert_graded_like_the_oracle(
+                service, oracle, f"mutant of {question.key}", question.correct_query, mutant
             )
             graded += 1
     assert graded > 0
