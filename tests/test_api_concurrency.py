@@ -4,6 +4,8 @@ import pytest
 
 from repro.api import GradingService, SubmissionRequest
 from repro.datagen import university_instance
+from repro.engine.backends.sqlite import SqliteBackend
+from repro.parser import parse_query
 from repro.workload import course_questions
 
 
@@ -72,6 +74,25 @@ class TestDeterminismUnderConcurrency:
         # compiled once per distinct query, and hits dominate misses.
         assert after["plan_misses"] > before
         assert after["plan_hits"] > 0
+
+    def test_pooled_verdicts_match_the_oracle(self, hidden_instance):
+        """Every pooled verdict is the SQLite oracle's: correct exactly when
+        the reference and the submission have the same rows there."""
+        requests = class_batch()
+        service = GradingService.for_instance(hidden_instance, name="hidden")
+        oracle = SqliteBackend(hidden_instance)
+        checked = 0
+        for request, graded in zip(requests, service.submit_batch(requests, workers=8)):
+            assert graded.id == request.id
+            if request.id.endswith("/crash"):
+                assert graded.outcome.error_kind is not None
+                continue
+            expected = oracle.rows(parse_query(request.correct_query)) == oracle.rows(
+                parse_query(request.test_query)
+            )
+            assert graded.correct == expected, request.id
+            checked += 1
+        assert checked == len(requests) - len(course_questions())
 
     def test_mixed_datasets_in_one_pooled_batch(self):
         service = GradingService()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import DatasetRegistry, default_registry
+from repro.api import DatasetRegistry, GradingService, default_registry
 from repro.catalog.instance import DatabaseInstance
 from repro.datagen import toy_university_instance, university_schema
 from repro.errors import ReproError
@@ -29,6 +29,19 @@ class TestResolution:
         base = registry.resolve("university:20", seed=1)
         assert registry.resolve("university:30", seed=1) is not base
         assert registry.resolve("university:20", seed=2) is not base
+
+    def test_services_on_one_registry_share_one_instance(self, registry):
+        # An edit made through one service is graded on by the other.
+        editor = GradingService(registry, default_dataset="toy-university")
+        grader = GradingService(registry, default_dataset="toy-university")
+        assert editor.handle_for().instance is grader.handle_for().instance
+        reference = "\\project_{name} Student"
+        submission = "\\project_{name} \\select_{name != 'Zoe'} Student"
+        assert grader.check(reference, submission).correct
+        editor.mutate(
+            {"operations": [{"op": "insert", "relation": "Student", "values": ["Zoe", "ART"]}]}
+        )
+        assert not grader.check(reference, submission).correct
 
     def test_build_returns_fresh_instances(self, registry):
         first = registry.build("university:20", seed=1)

@@ -110,6 +110,46 @@ SUBMISSIONS = [
 ]
 
 
+class TestOneExecutionPath:
+    """Grading has one executor; no command takes a ``--backend`` option."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--correct", "Student", "--test", "Student"],
+            ["batch"],
+            ["serve"],
+            ["cluster"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_backend_option_is_rejected(self, argv, capsys):
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, "--backend", "python"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_cluster_shard_command_is_a_valid_serve_invocation(self, tmp_path):
+        # A shard that cannot parse its own argv never boots.
+        from repro.cluster.supervisor import ClusterSupervisor
+
+        supervisor = ClusterSupervisor(
+            2,
+            ports=[40001, 40002],
+            store_dir=tmp_path,
+            warm_datasets=["toy-university"],
+            verbose=True,
+        )
+        for spec in supervisor.specs:
+            argv = supervisor._command(spec)
+            assert argv[1:4] == ["-m", "repro.cli", "serve"]
+            args = build_parser().parse_args(argv[3:])
+            assert (args.command, args.port, args.cluster_self) == ("serve", spec.port, spec.name)
+            assert args.peer == supervisor.peer_specs
+            assert args.warm == ["toy-university"]
+
+
 class TestBatchCommand:
     def write_submissions(self, tmp_path, rows=SUBMISSIONS):
         path = tmp_path / "submissions.jsonl"
