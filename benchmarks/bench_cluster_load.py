@@ -150,7 +150,7 @@ def build_workload(
 def in_process_baseline(requests: list[SubmissionRequest]) -> tuple[list[dict], float]:
     service = GradingService(default_dataset=DATASET)
     start = time.perf_counter()
-    graded = service.submit_batch(requests, workers=4)
+    graded = service.submit_batch(requests)
     elapsed = time.perf_counter() - start
     return [g.to_dict(include_timings=False) for g in graded], elapsed
 

@@ -125,7 +125,7 @@ def run_benchmark() -> dict:
     # In-process baseline: the batch API the server wraps.
     service = GradingService(default_dataset=DATASET, default_seed=SEED)
     start = time.perf_counter()
-    baseline = service.submit_batch(requests, workers=4)
+    baseline = service.submit_batch(requests)
     in_process_time = time.perf_counter() - start
     expected = [graded.to_dict(include_timings=False) for graded in baseline]
     print(

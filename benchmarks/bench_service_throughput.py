@@ -1,4 +1,4 @@
-"""Grading-service throughput: submissions/sec, serial vs batched vs pooled.
+"""Grading-service throughput: submissions/sec, cold per-submission vs the service.
 
 Models the paper's deployment (§6–§7.1): a whole class's submissions for the
 eight course homework questions are graded against one hidden university
@@ -7,23 +7,19 @@ the hand-written classic mistakes (which earns a counterexample), so the
 workload mixes cheap agreement checks with full counterexample searches —
 and, as in a real class, many students submit the *same* wrong query.
 
-Three configurations grade the identical workload:
+Two configurations grade the identical workload:
 
-* ``cold-serial``      — the pre-service consumption pattern: a fresh
-                         :class:`~repro.ratest.system.RATest` (and therefore a
-                         fresh engine session) per submission, the way the
-                         ``explain`` CLI and the old example loops worked;
-* ``service-serial``   — ``GradingService.submit_batch(..., workers=1)``:
-                         one warm session shared by all submissions;
-* ``service-pooled``   — the same batch with ``workers=4`` over the thread
-                         pool and the locked shared session.
+* ``cold``    — the pre-service consumption pattern: a fresh
+                :class:`~repro.ratest.system.RATest` (and therefore a fresh
+                engine session) per submission, the way the ``explain`` CLI
+                and the old example loops worked;
+* ``service`` — ``GradingService.submit_batch``: one warm session shared by
+                all submissions.
 
-The benchmark asserts the service configurations return bit-identical
-outcomes to cold grading, and that pooled batch grading beats serial
-grading — the win is the shared warm session (plans + cached reference
-results) plus batch deduplication (one counterexample explains every student
-who made the same mistake); the pool adds safe concurrency on top, not CPU
-parallelism (GIL).
+The benchmark asserts the service returns bit-identical outcomes to cold
+grading and beats it by more than 2× — the win is the shared warm session
+(plans + cached reference results) plus batch deduplication (one
+counterexample explains every student who made the same mistake).
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_service_throughput.py``)
 for a table, or through pytest
@@ -45,7 +41,6 @@ from repro.workload import course_questions
 HIDDEN_STUDENTS = 60
 #: Simulated class size: each student submits one query per question.
 CLASS_SIZE = 25
-WORKERS = 4
 
 
 def _submissions(seed: int = 7) -> list[SubmissionRequest]:
@@ -83,21 +78,15 @@ def run_benchmark(seed: int = 2018) -> dict:
     ]
     cold_s = time.perf_counter() - start
 
-    serial_service = GradingService.for_instance(instance, name="hidden")
+    service = GradingService.for_instance(instance, name="hidden")
     start = time.perf_counter()
-    serial_graded = serial_service.submit_batch(requests, workers=1)
-    serial_s = time.perf_counter() - start
-
-    pooled_service = GradingService.for_instance(instance, name="hidden")
-    start = time.perf_counter()
-    pooled_graded = pooled_service.submit_batch(requests, workers=WORKERS)
-    pooled_s = time.perf_counter() - start
+    graded = service.submit_batch(requests)
+    service_s = time.perf_counter() - start
 
     def grades(outcomes):
         return [outcome.to_dict(include_timings=False) for outcome in outcomes]
 
-    assert grades(cold_outcomes) == grades(g.outcome for g in serial_graded)
-    assert grades(cold_outcomes) == grades(g.outcome for g in pooled_graded)
+    assert grades(cold_outcomes) == grades(g.outcome for g in graded)
 
     n = len(requests)
     distinct = len({(r.correct_query, r.test_query) for r in requests})
@@ -105,15 +94,12 @@ def run_benchmark(seed: int = 2018) -> dict:
         "total_tuples": instance.total_size(),
         "submissions": n,
         "distinct": distinct,
-        "wrong": sum(1 for g in serial_graded if not g.correct),
+        "wrong": sum(1 for g in graded if not g.correct),
         "cold_s": cold_s,
-        "serial_s": serial_s,
-        "pooled_s": pooled_s,
+        "service_s": service_s,
         "cold_rate": n / cold_s,
-        "serial_rate": n / serial_s,
-        "pooled_rate": n / pooled_s,
-        "speedup_serial": cold_s / serial_s,
-        "speedup_pooled": cold_s / pooled_s,
+        "service_rate": n / service_s,
+        "speedup": cold_s / service_s,
     }
 
 
@@ -124,10 +110,10 @@ def test_service_throughput(benchmark=None):
     else:  # plain pytest without pytest-benchmark
         result = run_benchmark()
     assert result["wrong"] > 0  # the workload exercises counterexamples
-    # The acceptance bar: pooled batch grading beats per-submission serial
-    # grading (shared warm session + dedup; the pool must not squander it).
-    # Locally ~8x; 2x leaves headroom for noisy CI machines.
-    assert result["speedup_pooled"] > 2.0
+    # The acceptance bar: batch grading on the shared warm session (plus
+    # dedup) beats per-submission cold grading.  Locally ~8x; 2x leaves
+    # headroom for noisy CI machines.
+    assert result["speedup"] > 2.0
 
 
 def main() -> None:
@@ -142,12 +128,8 @@ def main() -> None:
         f"{result['cold_rate']:7.2f} subs/s"
     )
     print(
-        f"  submit_batch(workers=1)           : {result['serial_s']:7.3f} s   "
-        f"{result['serial_rate']:7.2f} subs/s   ({result['speedup_serial']:.2f}x)"
-    )
-    print(
-        f"  submit_batch(workers={WORKERS})           : {result['pooled_s']:7.3f} s   "
-        f"{result['pooled_rate']:7.2f} subs/s   ({result['speedup_pooled']:.2f}x)"
+        f"  service submit_batch              : {result['service_s']:7.3f} s   "
+        f"{result['service_rate']:7.2f} subs/s   ({result['speedup']:.2f}x)"
     )
     from _summary import write_summary
 

@@ -76,7 +76,7 @@ def run_benchmark(seed: int = 7) -> dict:
     service = GradingService.for_instance(instance, name="tpch")
     session = service.session_for()
 
-    graded = service.submit_batch(requests, workers=1)  # also warms the plans
+    graded = service.submit_batch(requests)  # also warms the plans
     result: dict = {
         "total_tuples": instance.total_size(),
         "submissions": len(requests),

@@ -35,7 +35,7 @@ def grade_class_batch(service: GradingService) -> None:
         # The classic mistake: "one or more" instead of "exactly one".
         SubmissionRequest(q2.correct_text, q2.wrong_texts[0], id="bob/q2"),
     ]
-    graded = service.submit_batch(requests, workers=4)
+    graded = service.submit_batch(requests)
 
     passed = sum(1 for g in graded if g.correct)
     print(f"Batch of {len(graded)} submissions: {passed} passed, {len(graded) - passed} failed\n")
@@ -67,7 +67,7 @@ def table3_style_sweep() -> None:
     for size in (200, 600, 1500):
         hidden = university_instance_with_size(size, seed=2018)
         grader = AutoGrader(hidden, questions)
-        discovered = grader.count_discovered_wrong_queries(pool.wrong_queries, workers=4)
+        discovered = grader.count_discovered_wrong_queries(pool.wrong_queries)
         print(f"  |D| = {hidden.total_size():5d}  ->  {discovered} wrong queries discovered")
 
 

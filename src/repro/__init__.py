@@ -15,14 +15,13 @@ Typical usage, one submission at a time::
     outcome = tool.check(correct_query, student_query)
     print(outcome.render())
 
-or as a service grading whole batches concurrently::
+or as a service grading whole batches over one warm session per dataset::
 
     from repro import GradingService, SubmissionRequest
 
     service = GradingService(default_dataset="university:200")
     graded = service.submit_batch(
-        [SubmissionRequest(reference_text, submission_text, id="alice/q1"), ...],
-        workers=8,
+        [SubmissionRequest(reference_text, submission_text, id="alice/q1"), ...]
     )
     print(graded[0].to_dict())   # versioned, JSON-serializable result schema
 """
@@ -38,7 +37,6 @@ from repro.core import (
     CounterexampleResult,
     SmallestCounterexampleFinder,
     find_smallest_counterexample,
-    find_smallest_witness,
 )
 from repro.engine import EngineSession
 from repro.ratest import AutoGrader, Question, RATest, RATestReport, SubmissionOutcome
@@ -63,6 +61,5 @@ __all__ = [
     "SubmissionOutcome",
     "SubmissionRequest",
     "find_smallest_counterexample",
-    "find_smallest_witness",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""The service-shaped public API: batched, concurrent, serialization-native.
+"""The service-shaped public API: batched, warm, serialization-native.
 
 This package is the primary entry point for consuming the RATest
 reproduction as a *service* rather than a one-query-at-a-time library:
@@ -7,8 +7,8 @@ reproduction as a *service* rather than a one-query-at-a-time library:
   (``"university:200"``, ``"tpch:0.01"``, custom instances) to cached
   instance + warm engine-session pairs;
 * :class:`~repro.api.service.GradingService` grades single submissions
-  (:meth:`~repro.api.service.GradingService.submit`) or whole batches
-  concurrently (:meth:`~repro.api.service.GradingService.submit_batch`);
+  (:meth:`~repro.api.service.GradingService.submit`) or whole batches,
+  each distinct pair once (:meth:`~repro.api.service.GradingService.submit_batch`);
 * :mod:`repro.api.serialization` defines the versioned JSON result schema
   every outcome serializes to (``SCHEMA_VERSION``).
 

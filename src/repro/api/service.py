@@ -4,7 +4,7 @@ The paper's system is a web auto-grader: many students submit queries against
 a few shared hidden instances.  :class:`GradingService` is that shape as a
 library API — :meth:`~GradingService.submit` grades one
 ``(reference, submission)`` pair, :meth:`~GradingService.submit_batch` grades
-many concurrently over a thread pool, and every result is a
+many in order (each distinct pair once), and every result is a
 JSON-serializable :class:`GradedSubmission` (see
 :mod:`repro.api.serialization`), so grades can cross a process boundary.
 
@@ -12,7 +12,9 @@ All submissions against one dataset share a single warm
 :class:`~repro.engine.session.EngineSession` (resolved through a
 :class:`~repro.api.registry.DatasetRegistry`): the reference query is planned
 and evaluated once, not once per submission, and the session's internal lock
-makes that sharing safe under concurrency.
+makes that sharing safe when callers grade from several threads.  Threads
+buy no throughput here (the lock and the GIL serialise the work); parallel
+grading is the daemon's worker-process pool (:mod:`repro.server`).
 
 The module also hosts the single-submission workflow functions
 (:func:`grade_queries`, :func:`explain_queries`) that the legacy
@@ -21,7 +23,6 @@ The module also hosts the single-submission workflow functions
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterable, Mapping, Sequence
@@ -321,7 +322,7 @@ class GradedSubmission:
         """JSON-compatible payload (the JSONL grade format of ``cli batch``).
 
         ``include_timings=False`` omits wall-clock fields, leaving a fully
-        deterministic payload — used to assert serial and pooled grading
+        deterministic payload — used to assert serial and threaded grading
         produce identical results.
         """
         out: dict[str, Any] = {
@@ -358,8 +359,7 @@ class GradingService:
 
     One service holds one :class:`DatasetRegistry`; every submission names a
     dataset spec (or uses the service default) and is graded on that
-    dataset's shared engine session.  ``submit_batch`` fans work out over a
-    thread pool; the session lock keeps results identical to serial grading.
+    dataset's shared engine session.
     """
 
     def __init__(
@@ -522,21 +522,12 @@ class GradingService:
         )
 
     def submit_batch(
-        self,
-        requests: Iterable[SubmissionRequest | Mapping[str, Any]],
-        *,
-        workers: int = 1,
-        deduplicate: bool = True,
+        self, requests: Iterable[SubmissionRequest | Mapping[str, Any]]
     ) -> list[GradedSubmission]:
         """Grade many requests, preserving input order in the result list.
 
-        ``workers > 1`` grades over a thread pool sharing the per-dataset
-        warm sessions; outcomes are identical to serial grading (timings
-        aside) because the sessions serialize engine work internally.
-
-        ``deduplicate`` (default on) grades each distinct
-        (dataset, seed, pair, algorithm, params, options) group once and fans
-        the outcome out to every matching request — in a class, many students
+        Each distinct (dataset, seed, pair, algorithm, params, options) group
+        is graded once and its outcome fanned out to every matching request — in a class, many students
         submit the same classic mistake, and one counterexample explains all
         of them.  Outcomes are unaffected; only redundant work is skipped.
         Members of one group *share* the outcome object (treat it as
@@ -547,15 +538,9 @@ class GradingService:
         coerced: Sequence[SubmissionRequest] = [self._coerce(r) for r in requests]
         groups: dict[Any, list[int]] = {}
         for index, request in enumerate(coerced):
-            key = self._grading_key(request) if deduplicate else index
-            groups.setdefault(key, []).append(index)
+            groups.setdefault(self._grading_key(request), []).append(index)
         members = list(groups.values())
-        representatives = [coerced[group[0]] for group in members]
-        if workers <= 1 or len(representatives) <= 1:
-            graded = [self.submit(request) for request in representatives]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                graded = list(pool.map(self.submit, representatives))
+        graded = [self.submit(coerced[group[0]]) for group in members]
         results: list[GradedSubmission | None] = [None] * len(coerced)
         for group, result in zip(members, graded):
             for index in group:

@@ -44,7 +44,7 @@ Examples::
     python -m repro.cli demo
     python -m repro.cli explain --dataset university:200 \
         --correct correct.ra --test submission.ra
-    python -m repro.cli batch --input submissions.jsonl --workers 8
+    python -m repro.cli batch --input submissions.jsonl
     python -m repro.cli serve --port 8080 --workers 4 --store grades.sqlite3
     python -m repro.cli batch --server http://127.0.0.1:8080 \
         --input submissions.jsonl
@@ -208,12 +208,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 1 if error_kinds & OPERATIONAL_ERROR_KINDS else 0
 
     service = GradingService(default_dataset=args.dataset, default_seed=args.seed)
-    graded = service.submit_batch(requests, workers=args.workers)
+    graded = service.submit_batch(requests)
     _write_jsonl(args, [result.to_dict() for result in graded])
     num_correct = sum(1 for result in graded if result.correct)
     num_error = sum(1 for result in graded if result.outcome.error is not None)
     print(
-        f"graded {len(graded)} submissions with {args.workers} worker(s): "
+        f"graded {len(graded)} submissions: "
         f"{num_correct} correct, {len(graded) - num_correct - num_error} wrong, "
         f"{num_error} errors",
         file=sys.stderr,
@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch = subparsers.add_parser("batch", help="grade a JSONL stream of submissions")
     batch.add_argument("--input", default="-", help="JSONL submissions file, or - for stdin")
     batch.add_argument("--output", default="-", help="JSONL grades file, or - for stdout")
-    batch.add_argument("--workers", type=int, default=1, help="concurrent grading workers")
     batch.add_argument(
         "--dataset", default="toy-university", help="dataset spec for lines without one"
     )
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="URL",
         help="grade through a running 'repro serve' daemon at URL instead of in process "
-        "(--workers/--dataset/--seed then follow the daemon's configuration)",
+        "(--dataset/--seed then follow the daemon's configuration)",
     )
     batch.set_defaults(func=_cmd_batch)
 

@@ -11,7 +11,6 @@ from repro.core.finder import (
     ALGORITHMS,
     SmallestCounterexampleFinder,
     find_smallest_counterexample,
-    find_smallest_witness,
 )
 from repro.core.fk import foreign_key_clauses
 from repro.core.optsigma import smallest_witness_optsigma
@@ -31,7 +30,6 @@ __all__ = [
     "VerificationReport",
     "WitnessResult",
     "find_smallest_counterexample",
-    "find_smallest_witness",
     "foreign_key_clauses",
     "is_aggregate_pair",
     "pick_witness_target",

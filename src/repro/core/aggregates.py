@@ -33,7 +33,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.catalog.instance import DatabaseInstance, Values
 from repro.catalog.schema import DatabaseSchema, RelationSchema
-from repro.core.common import Stopwatch, finalize_result
+from repro.core.common import Stopwatch, annotate_cached, finalize_result
 from repro.core.fk import foreign_key_clauses
 from repro.core.results import CounterexampleResult
 from repro.errors import (
@@ -56,9 +56,7 @@ from repro.provenance.aggregate import (
 )
 from repro.ra.analysis import profile
 from repro.ra.ast import Difference, GroupBy, Projection, RAExpression, Selection
-from repro.ra.evaluator import evaluate
-from repro.core.common import annotate_cached, evaluate_cached
-from repro.engine.session import EngineSession
+from repro.engine.session import EngineSession, resolve_session
 from repro.ra.predicates import Predicate, conj, disj, equals_constant
 from repro.ra.rewrite import (
     add_tuple_selection,
@@ -107,6 +105,7 @@ def smallest_counterexample_agg_basic(
     session: EngineSession | None = None,
 ) -> CounterexampleResult:
     """Aggregate-provenance counterexamples (Agg-Basic; Agg-Param when parameterized)."""
+    session = resolve_session(instance, session)
     stopwatch = Stopwatch()
     original_params: dict[str, Any] = dict(params or {})
     query1, query2 = q1, q2
@@ -124,8 +123,8 @@ def smallest_counterexample_agg_basic(
         original_params.update(parameterized2.original_values)
 
     with stopwatch.measure("raw_eval"):
-        result1 = evaluate_cached(query1, instance, original_params, session)
-        result2 = evaluate_cached(query2, instance, original_params, session)
+        result1 = session.evaluate(query1, original_params)
+        result2 = session.evaluate(query2, original_params)
         if result1.same_rows(result2):
             raise CounterexampleError(
                 "the two queries return identical results on this instance"
@@ -188,9 +187,8 @@ def smallest_counterexample_agg_basic(
                 continue
             candidate_params = dict(original_params)
             candidate_params.update(outcome.parameter_values)
-            if not _validate_on_counterexample(
-                query1, query2, instance, outcome.true_variables, candidate_params
-            ):
+            witness = EngineSession(instance.subinstance(outcome.true_variables))
+            if not _validate_on_counterexample(query1, query2, witness, candidate_params):
                 continue
             if best is None or outcome.cost < len(best[1].true_variables):
                 best = (key, outcome, candidate_params)
@@ -209,7 +207,7 @@ def smallest_counterexample_agg_basic(
         distinguishing_row=key,
         optimal=outcome.optimal,
         algorithm=algorithm,
-        timings=stopwatch.finish(),
+        stopwatch=stopwatch,
         params=final_params,
         solver_calls=outcome.nodes_explored,
     )
@@ -328,6 +326,7 @@ def smallest_counterexample_agg_opt(
     instance (e.g. the only error is in the HAVING clause) — the heuristic
     has nothing to work with in that case.
     """
+    session = resolve_session(instance, session)
     stopwatch = Stopwatch()
     original_params: dict[str, Any] = dict(params or {})
     form1 = decompose_aggregate_query(q1, instance.schema)
@@ -350,8 +349,8 @@ def smallest_counterexample_agg_opt(
         core2 = Projection(core2, tuple(common))
 
     with stopwatch.measure("raw_eval"):
-        core_rows1 = evaluate_cached(core1, instance, original_params, session)
-        core_rows2 = evaluate_cached(core2, instance, original_params, session)
+        core_rows1 = session.evaluate(core1, original_params)
+        core_rows2 = session.evaluate(core2, original_params)
     if core_rows1.rows == core_rows2.rows:
         return smallest_counterexample_agg_basic(
             q1, q2, instance, params=params, parameterize=True, session=session
@@ -369,16 +368,14 @@ def smallest_counterexample_agg_opt(
         add_tuple_selection(diff, instance.schema, target), instance.schema
     )
     with stopwatch.measure("provenance"):
-        annotated = annotate_cached(selected, instance, original_params, session)
+        annotated = annotate_cached(selected, session, original_params)
         expression = annotated.expression_for(target)
 
     problem = MinOnesProblem()
     problem.add_constraint(expression)
     for clause in foreign_key_clauses(instance, expression.variables()):
         problem.add_foreign_key(clause.child, clause.parents)
-    solver = MinOnesSolver(
-        problem, clause_cache=session.clause_cache if session is not None else None
-    )
+    solver = MinOnesSolver(problem, clause_cache=session.clause_cache)
 
     # Candidate parameter settings are tried against the *parameterized*
     # original queries whenever re-validation with the original constants fails.
@@ -403,18 +400,15 @@ def smallest_counterexample_agg_opt(
         optimal = outcome.optimal
         for attempt, tids in enumerate(_with_retries(solver, candidates, max_retries)):
             solver_calls += 1 if attempt else 0
-            validated = _validate_on_counterexample(
-                q1, q2, instance, tids, original_params
-            )
-            if validated:
+            witness = EngineSession(instance.subinstance(tids))
+            if _validate_on_counterexample(q1, q2, witness, original_params):
                 best_tids, best_params = tids, dict(original_params)
                 break
             if has_parameters:
                 param_setting = _find_parameter_setting(
                     parameterized1.query,
                     parameterized2.query,
-                    instance,
-                    tids,
+                    witness,
                     {**parameterized1.original_values, **parameterized2.original_values},
                     original_params,
                 )
@@ -437,7 +431,7 @@ def smallest_counterexample_agg_opt(
         distinguishing_row=target,
         optimal=optimal,
         algorithm="agg-opt",
-        timings=stopwatch.finish(),
+        stopwatch=stopwatch,
         params=best_params,
         solver_calls=solver_calls,
     )
@@ -468,17 +462,11 @@ def _with_retries(
 
 
 def _validate_on_counterexample(
-    q1: RAExpression,
-    q2: RAExpression,
-    instance: DatabaseInstance,
-    tids: frozenset[str],
-    params: ParamValues,
+    q1: RAExpression, q2: RAExpression, witness: EngineSession, params: ParamValues
 ) -> bool:
-    subinstance = instance.subinstance(tids)
+    """Whether the two queries differ on the sub-instance ``witness`` is bound to."""
     try:
-        return not evaluate(q1, subinstance, params).same_rows(
-            evaluate(q2, subinstance, params)
-        )
+        return not witness.evaluate(q1, params).same_rows(witness.evaluate(q2, params))
     except (TypeError, QueryEvaluationError):
         # A synthesised parameter value of the wrong type (an integer probe
         # for a string parameter) makes a comparison ill-typed, and a
@@ -491,18 +479,18 @@ def _validate_on_counterexample(
 def _find_parameter_setting(
     q1: RAExpression,
     q2: RAExpression,
-    instance: DatabaseInstance,
-    tids: frozenset[str],
+    witness: EngineSession,
     original_values: Mapping[str, Any],
     params: ParamValues,
 ) -> dict[str, Any] | None:
-    """Choose parameter values making the parameterized queries differ on ``tids``.
+    """Choose parameter values making the parameterized queries differ on the witness.
 
     Candidate values follow §5.3.2: 0, 1, the original constant, and the
     aggregate values observed on the counterexample (±1).  ``params`` is the
-    caller's binding; the returned setting extends it.
+    caller's binding; the returned setting extends it.  Every setting is
+    tried on the one ``witness`` session, so its parameter-independent
+    subplans are computed once.
     """
-    subinstance = instance.subinstance(tids)
     candidates: dict[str, set[Any]] = {}
     for name, value in original_values.items():
         # Integer probes only make sense for numeric parameters; for any
@@ -511,9 +499,9 @@ def _find_parameter_setting(
             candidates[name] = {0, 1, value}
         else:
             candidates[name] = {value}
-    observed = _observed_aggregate_values(
-        q1, subinstance, params
-    ) | _observed_aggregate_values(q2, subinstance, params)
+    observed = _observed_aggregate_values(q1, witness, params) | _observed_aggregate_values(
+        q2, witness, params
+    )
     for name in candidates:
         if not isinstance(original_values[name], (int, float)):
             continue
@@ -535,20 +523,20 @@ def _find_parameter_setting(
     pools = [sorted(candidates[name], key=closeness(name)) for name in names]
     for combination in itertools.islice(itertools.product(*pools), 200):
         setting = {**params, **dict(zip(names, combination))}
-        if _validate_on_counterexample(q1, q2, instance, tids, setting):
+        if _validate_on_counterexample(q1, q2, witness, setting):
             return setting
     return None
 
 
 def _observed_aggregate_values(
-    query: RAExpression, instance: DatabaseInstance, params: ParamValues
+    query: RAExpression, witness: EngineSession, params: ParamValues
 ) -> set[Any]:
-    """Aggregate alias values produced by the query's GroupBy nodes on ``instance``."""
+    """Aggregate alias values produced by the query's GroupBy nodes on the witness."""
     values: set[Any] = set()
     for node in query.walk():
         if not isinstance(node, GroupBy):
             continue
-        result = evaluate(node, instance, params)
+        result = witness.evaluate(node, params)
         schema = result.schema
         for spec in node.aggregates:
             index = schema.index_of(spec.alias)

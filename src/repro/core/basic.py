@@ -21,7 +21,7 @@ from repro.core.common import (
 )
 from repro.core.fk import foreign_key_clauses
 from repro.core.results import CounterexampleResult, WitnessResult
-from repro.engine.session import EngineSession
+from repro.engine.session import EngineSession, resolve_session
 from repro.errors import CounterexampleError
 from repro.provenance.boolexpr import BoolExpr
 from repro.ra.ast import Difference, RAExpression
@@ -86,9 +86,10 @@ def smallest_counterexample_basic(
     default is unlimited.  ``session`` optionally shares an engine session's
     plan/result caches with the caller (e.g. the RATest facade).
     """
+    session = resolve_session(instance, session)
     stopwatch = Stopwatch()
     with stopwatch.measure("raw_eval"):
-        only_in_q1, only_in_q2 = symmetric_difference_rows(q1, q2, instance, params, session)
+        only_in_q1, only_in_q2 = symmetric_difference_rows(q1, q2, session, params)
     if not only_in_q1 and not only_in_q2:
         raise CounterexampleError("the two queries return identical results on this instance")
 
@@ -105,9 +106,7 @@ def smallest_counterexample_basic(
         key = id(winning)
         if key not in annotations:
             with stopwatch.measure("provenance"):
-                annotations[key] = annotate_cached(
-                    Difference(winning, losing), instance, params, session
-                )
+                annotations[key] = annotate_cached(Difference(winning, losing), session, params)
         annotated = annotations[key]
         expression = annotated.expression_for(row)
         with stopwatch.measure("solver"):
@@ -118,7 +117,7 @@ def smallest_counterexample_basic(
                 mode=mode,
                 max_trials=max_trials,
                 strategy=strategy,
-                clause_cache=session.clause_cache if session is not None else None,
+                clause_cache=session.clause_cache,
             )
         solver_calls += witness.solver_calls
         if best is None or witness.size < best.size:
@@ -132,7 +131,7 @@ def smallest_counterexample_basic(
         distinguishing_row=best.row,
         optimal=best.optimal,
         algorithm="basic" if mode == "optimal" else f"basic-naive-{max_trials}",
-        timings=stopwatch.finish(),
+        stopwatch=stopwatch,
         params=params,
         solver_calls=solver_calls,
     )

@@ -1,4 +1,10 @@
-"""Shared helpers for the counterexample algorithms."""
+"""Shared helpers for the counterexample algorithms.
+
+Each algorithm resolves its :class:`~repro.engine.session.EngineSession` once
+(:func:`~repro.engine.session.resolve_session`) and hands it to these helpers,
+which evaluate and annotate the instance through it.  The witness re-check in
+:func:`finalize_result` runs on one session over the witness sub-instance.
+"""
 
 from __future__ import annotations
 
@@ -9,48 +15,25 @@ from repro.catalog.instance import DatabaseInstance, Values
 from repro.core.results import CounterexampleResult
 from repro.engine.session import EngineSession
 from repro.errors import CounterexampleError
-from repro.ra.ast import Difference, RAExpression
-from repro.ra.evaluator import evaluate
+from repro.ra.ast import RAExpression
 
 ParamValues = Mapping[str, Any]
 
 
-def evaluate_cached(
-    expression: RAExpression,
-    instance: DatabaseInstance,
-    params: ParamValues | None = None,
-    session: EngineSession | None = None,
-):
-    """Evaluate through ``session`` when it is bound to this very instance.
-
-    The counterexample algorithms re-evaluate the same queries several times
-    (agreement check, symmetric difference, witness verification); threading
-    an :class:`EngineSession` through them turns the repeats into cache hits.
-    A session bound to a *different* instance (e.g. when verifying on a
-    counterexample subinstance) is ignored.
-    """
-    if session is not None and session.instance is instance:
-        return session.evaluate(expression, params)
-    return evaluate(expression, instance, params)
-
-
 def annotate_cached(
     expression: RAExpression,
-    instance: DatabaseInstance,
+    session: EngineSession,
     params: ParamValues | None = None,
-    session: EngineSession | None = None,
 ):
-    """Provenance annotation through ``session`` when bound to ``instance``.
+    """Provenance annotation through the explain call's session.
 
     Sharing the session lets provenance construction reuse the scans and
     subplans already cached by the set-semantics agreement checks.
     """
-    from repro.provenance.annotate import AnnotatedRelation, annotate
+    from repro.provenance.annotate import AnnotatedRelation
 
-    if session is not None and session.instance is instance:
-        schema, rows = session.annotated_rows(expression, params)
-        return AnnotatedRelation(schema, rows)
-    return annotate(expression, instance, params)
+    schema, rows = session.annotated_rows(expression, params)
+    return AnnotatedRelation(schema, rows)
 
 
 class Stopwatch:
@@ -87,13 +70,13 @@ class _Phase:
 def symmetric_difference_rows(
     q1: RAExpression,
     q2: RAExpression,
-    instance: DatabaseInstance,
+    session: EngineSession,
     params: ParamValues | None = None,
-    session: EngineSession | None = None,
 ) -> tuple[list[Values], list[Values]]:
-    """Rows in ``Q1(D) \\ Q2(D)`` and ``Q2(D) \\ Q1(D)`` (each sorted deterministically)."""
-    result1 = evaluate_cached(q1, instance, params, session)
-    result2 = evaluate_cached(q2, instance, params, session)
+    """Rows in ``Q1(D) \\ Q2(D)`` and ``Q2(D) \\ Q1(D)`` (each sorted deterministically),
+    where ``D`` is the instance ``session`` is bound to."""
+    result1 = session.evaluate(q1, params)
+    result2 = session.evaluate(q2, params)
     only_in_q1 = sorted(result1.rows - result2.rows, key=_row_key)
     only_in_q2 = sorted(result2.rows - result1.rows, key=_row_key)
     return only_in_q1, only_in_q2
@@ -102,18 +85,18 @@ def symmetric_difference_rows(
 def pick_witness_target(
     q1: RAExpression,
     q2: RAExpression,
-    instance: DatabaseInstance,
+    session: EngineSession,
     params: ParamValues | None = None,
-    session: EngineSession | None = None,
 ) -> tuple[Values, RAExpression, RAExpression]:
     """Choose the output tuple ``t`` to witness and orient the difference.
 
     Returns ``(t, winning, losing)`` such that ``t ∈ winning(D) \\ losing(D)``;
     the witness is then computed w.r.t. ``winning − losing``.  Raises
-    :class:`CounterexampleError` when the two queries agree on the instance.
+    :class:`CounterexampleError` when the two queries agree on the instance
+    ``session`` is bound to.
     """
-    result1 = evaluate_cached(q1, instance, params, session)
-    result2 = evaluate_cached(q2, instance, params, session)
+    result1 = session.evaluate(q1, params)
+    result2 = session.evaluate(q2, params)
     # The first row of symmetric_difference_rows' order, without sorting:
     # min() and a stable sort both keep the first of equal keys.
     only_in_q1 = result1.rows - result2.rows
@@ -125,10 +108,6 @@ def pick_witness_target(
     raise CounterexampleError("the two queries return identical results on this instance")
 
 
-def difference_query(winning: RAExpression, losing: RAExpression) -> Difference:
-    return Difference(winning, losing)
-
-
 def finalize_result(
     q1: RAExpression,
     q2: RAExpression,
@@ -138,15 +117,21 @@ def finalize_result(
     distinguishing_row: Values | None,
     optimal: bool,
     algorithm: str,
-    timings: dict[str, float],
+    stopwatch: Stopwatch,
     params: ParamValues | None = None,
     solver_calls: int = 0,
 ) -> CounterexampleResult:
-    """Materialise the counterexample, re-evaluate both queries and verify it."""
+    """Materialise the counterexample, re-evaluate both queries and verify it.
+
+    The re-check is the ``finalize`` phase; ``stopwatch`` stops after it, so
+    ``timings["total"]`` covers the whole call.
+    """
     tid_set = frozenset(tids)
-    counterexample = instance.subinstance(tid_set)
-    q1_rows = evaluate(q1, counterexample, params)
-    q2_rows = evaluate(q2, counterexample, params)
+    with stopwatch.measure("finalize"):
+        counterexample = instance.subinstance(tid_set)
+        witness = EngineSession(counterexample)
+        q1_rows = witness.evaluate(q1, params)
+        q2_rows = witness.evaluate(q2, params)
     return CounterexampleResult(
         tids=tid_set,
         counterexample=counterexample,
@@ -155,7 +140,7 @@ def finalize_result(
         q2_rows=q2_rows,
         optimal=optimal,
         algorithm=algorithm,
-        timings=timings,
+        timings=stopwatch.finish(),
         parameter_values=dict(params or {}),
         solver_calls=solver_calls,
         verified=not q1_rows.same_rows(q2_rows),

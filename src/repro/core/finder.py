@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping
 
 from repro.catalog.instance import DatabaseInstance
-from repro.engine.session import EngineSession
+from repro.engine.session import EngineSession, resolve_session
 from repro.core.aggregates import (
     is_aggregate_pair,
     smallest_counterexample_agg_basic,
@@ -40,19 +40,6 @@ ALGORITHMS: dict[str, Callable[..., CounterexampleResult]] = {
 }
 
 
-def find_smallest_witness(
-    q1: RAExpression,
-    q2: RAExpression,
-    instance: DatabaseInstance,
-    *,
-    params: ParamValues | None = None,
-    session: EngineSession | None = None,
-    **options: Any,
-) -> CounterexampleResult:
-    """Solve the smallest-witness problem (SWP) with Optσ — the recommended path."""
-    return smallest_witness_optsigma(q1, q2, instance, params=params, session=session, **options)
-
-
 def find_smallest_counterexample(
     q1: RAExpression,
     q2: RAExpression,
@@ -68,9 +55,12 @@ def find_smallest_counterexample(
     ``algorithm`` may be ``"auto"`` or any key of :data:`ALGORITHMS`; extra
     keyword options are forwarded to the chosen algorithm (e.g.
     ``parameterize=True`` for ``agg-basic``, ``mode="enumerate"`` for
-    ``basic``).  ``session`` shares an engine session's plan/result caches
-    across the algorithm's evaluations (all algorithms accept it).
+    ``basic``).  ``session``, when bound to ``instance``, serves every
+    evaluation and annotation over ``instance``; otherwise the call builds one
+    new session for them.  Either way the call resolves its session once
+    here, so an Agg-Opt fallback to Agg-Basic keeps the same caches.
     """
+    session = resolve_session(instance, session)
     if algorithm != "auto":
         if algorithm not in ALGORITHMS:
             raise ReproError(

@@ -22,7 +22,7 @@ from repro.core.common import (
 )
 from repro.core.fk import foreign_key_clauses
 from repro.core.results import CounterexampleResult
-from repro.engine.session import EngineSession
+from repro.engine.session import EngineSession, resolve_session
 from repro.errors import CounterexampleError
 from repro.ra.ast import Difference, RAExpression
 from repro.ra.rewrite import add_tuple_selection, push_selections_down
@@ -50,9 +50,10 @@ def smallest_witness_optsigma(
     ``Q2(D) \\ Q1(D)``).  ``pushdown`` controls the selection-pushdown rewrite
     — disabling it is the "prov-all on one tuple" ablation of Figure 4.
     """
+    session = resolve_session(instance, session)
     stopwatch = Stopwatch()
     with stopwatch.measure("raw_eval"):
-        row, winning, losing = pick_witness_target(q1, q2, instance, params, session)
+        row, winning, losing = pick_witness_target(q1, q2, session, params)
     if target_row is not None:
         row = tuple(target_row)
 
@@ -62,7 +63,7 @@ def smallest_witness_optsigma(
         selected = push_selections_down(selected, instance.schema)
 
     with stopwatch.measure("provenance"):
-        annotated = annotate_cached(selected, instance, params, session)
+        annotated = annotate_cached(selected, session, params)
         expression = annotated.expression_for(row)
     if expression.variables() == frozenset() and not expression.evaluate({}):
         raise CounterexampleError(
@@ -75,8 +76,7 @@ def smallest_witness_optsigma(
         problem.add_foreign_key(clause.child, clause.parents)
 
     with stopwatch.measure("solver"):
-        clause_cache = session.clause_cache if session is not None else None
-        outcome = MinOnesSolver(problem, clause_cache=clause_cache).minimize(
+        outcome = MinOnesSolver(problem, clause_cache=session.clause_cache).minimize(
             strategy=strategy, time_budget=solver_time_budget  # type: ignore[arg-type]
         )
 
@@ -88,7 +88,7 @@ def smallest_witness_optsigma(
         distinguishing_row=row,
         optimal=outcome.optimal,
         algorithm="optsigma" if pushdown else "optsigma-nopushdown",
-        timings=stopwatch.finish(),
+        stopwatch=stopwatch,
         params=params,
         solver_calls=outcome.solver_calls,
     )

@@ -26,12 +26,11 @@ from repro.catalog.instance import DatabaseInstance, Values
 from repro.core.common import (
     Stopwatch,
     annotate_cached,
-    evaluate_cached,
     finalize_result,
     pick_witness_target,
 )
 from repro.core.fk import dangling_children
-from repro.engine.session import EngineSession
+from repro.engine.session import EngineSession, resolve_session
 from repro.core.results import CounterexampleResult
 from repro.errors import CounterexampleError, NotApplicableError
 from repro.provenance.boolexpr import to_dnf
@@ -57,11 +56,12 @@ def smallest_witness_monotone_dnf(
         raise NotApplicableError(
             "the DNF algorithm requires both queries to be monotone (SPJU)"
         )
+    session = resolve_session(instance, session)
     stopwatch = Stopwatch()
     with stopwatch.measure("raw_eval"):
-        row, winning, _losing = pick_witness_target(q1, q2, instance, params, session)
+        row, winning, _losing = pick_witness_target(q1, q2, session, params)
     with stopwatch.measure("provenance"):
-        annotated = annotate_cached(winning, instance, params, session)
+        annotated = annotate_cached(winning, session, params)
         expression = annotated.expression_for(row)
     with stopwatch.measure("solver"):
         minterms = to_dnf(expression, max_terms=max_terms)
@@ -93,7 +93,7 @@ def smallest_witness_monotone_dnf(
         distinguishing_row=row,
         optimal=len(closed) == len(smallest),
         algorithm="polytime-dnf",
-        timings=stopwatch.finish(),
+        stopwatch=stopwatch,
         params=params,
     )
 
@@ -123,9 +123,10 @@ def smallest_witness_spjud_star(
             raise NotApplicableError(
                 f"the SPJUD* algorithm does not apply to query class {query_class.value}"
             )
+    session = resolve_session(instance, session)
     stopwatch = Stopwatch()
     with stopwatch.measure("raw_eval"):
-        row, winning, losing = pick_witness_target(q1, q2, instance, params, session)
+        row, winning, losing = pick_witness_target(q1, q2, session, params)
     combined = Difference(winning, losing)
     terminals = spju_terminals(combined)
 
@@ -134,7 +135,7 @@ def smallest_witness_spjud_star(
     with stopwatch.measure("provenance"):
         options: list[list[frozenset[str]]] = []
         for terminal in terminals:
-            annotated = annotate_cached(terminal, instance, params, session)
+            annotated = annotate_cached(terminal, session, params)
             if row not in annotated.provenance:
                 continue
             expression = annotated.expression_for(row)
@@ -188,6 +189,6 @@ def smallest_witness_spjud_star(
         distinguishing_row=row,
         optimal=exhausted,
         algorithm="spjud-star",
-        timings=stopwatch.finish(),
+        stopwatch=stopwatch,
         params=params,
     )

@@ -46,8 +46,9 @@ class CounterexampleResult:
         (``basic``, ``optsigma``, ``polytime-dnf``, ``spjud-star``,
         ``agg-basic``, ``agg-param``, ``agg-opt``, ...).
     timings:
-        Wall-clock breakdown in seconds, keyed by phase
-        (``raw_eval``, ``provenance``, ``solver``, ``total``).
+        Wall-clock breakdown in seconds, keyed by phase (``raw_eval``,
+        ``provenance``, ``solver``, ``finalize``, ``total``); ``total``
+        covers every phase, the witness re-check included.
     parameter_values:
         For parameterized counterexamples (SPCP), the parameter setting under
         which the two queries differ on the counterexample.

@@ -35,12 +35,10 @@ from typing import Any, Iterable, Mapping
 
 from repro.catalog.constraints import ForeignKeyConstraint
 from repro.catalog.instance import DatabaseInstance, Values
-from repro.core.common import evaluate_cached
 from repro.core.fk import foreign_key_clauses
 from repro.core.results import CounterexampleResult, witness_cardinality
-from repro.engine.session import EngineSession
+from repro.engine.session import EngineSession, resolve_session
 from repro.errors import ReproError, SolverError
-from repro.provenance.annotate import annotate
 from repro.ra.ast import Difference, RAExpression
 from repro.ra.evaluator import evaluate
 from repro.ra.rewrite import (
@@ -132,6 +130,10 @@ def verify_counterexample(
     oracle.  Returns a :class:`VerificationReport`; use
     :meth:`VerificationReport.raise_if_invalid` to turn failures into an
     exception.
+
+    ``session``, when bound to ``instance``, serves the minimality oracles'
+    evaluations over ``instance``; without one they run on a new session of
+    their own, independent of whatever session computed ``result``.
     """
     report = VerificationReport(algorithm=result.algorithm)
     binding: dict[str, Any] = dict(params or {})
@@ -159,7 +161,8 @@ def verify_counterexample(
         return report
 
     eff_q1, eff_q2 = effective
-    oriented = _orient_target(eff_q1, eff_q2, instance, result, binding, session)
+    session = resolve_session(instance, session)
+    oriented = _orient_target(eff_q1, eff_q2, session, result, binding)
     if oriented is None:
         report._skip("minimality")
         return report
@@ -253,10 +256,11 @@ def _check_distinguishes(
     """Re-evaluate both queries on the witness; returns the query forms that
     reproduced the recorded rows (original, or re-parameterized for SCP)."""
     check = "distinguishes"
+    witness = EngineSession(result.counterexample)
     for label, (form1, form2) in _query_forms(q1, q2, instance, result, caller_params):
         try:
-            rows1 = evaluate(form1, result.counterexample, binding)
-            rows2 = evaluate(form2, result.counterexample, binding)
+            rows1 = witness.evaluate(form1, binding)
+            rows2 = witness.evaluate(form2, binding)
         except ReproError:
             continue
         if rows1.same_rows(rows2):
@@ -367,18 +371,17 @@ def _check_fk_closure(
 def _orient_target(
     q1: RAExpression,
     q2: RAExpression,
-    instance: DatabaseInstance,
+    session: EngineSession,
     result: CounterexampleResult,
     binding: Mapping[str, Any],
-    session: EngineSession | None,
 ) -> tuple[Values, RAExpression, RAExpression] | None:
     """``(t, winning, losing)`` with ``t ∈ winning(D) \\ losing(D)``, or None."""
     if result.distinguishing_row is None:
         return None
     target = tuple(result.distinguishing_row)
     try:
-        rows1 = evaluate_cached(q1, instance, binding, session).rows
-        rows2 = evaluate_cached(q2, instance, binding, session).rows
+        rows1 = session.evaluate(q1, binding).rows
+        rows2 = session.evaluate(q2, binding).rows
     except ReproError:
         return None
     if target in rows1 and target not in rows2:
@@ -460,7 +463,7 @@ def _minimality_by_solver_agreement(
     result: CounterexampleResult,
     binding: Mapping[str, Any],
     report: VerificationReport,
-    session: EngineSession | None,
+    session: EngineSession,
     enumeration_budget: int,
     solver_time_budget: float | None,
 ) -> bool:
@@ -478,13 +481,10 @@ def _minimality_by_solver_agreement(
         add_tuple_selection(diff, instance.schema, target), instance.schema
     )
     try:
-        if session is not None and session.instance is instance:
-            schema, rows = session.annotated_rows(selected, binding)
-            expression = rows.get(tuple(target))
-        else:
-            expression = annotate(selected, instance, binding).expression_for(target)
+        _, rows = session.annotated_rows(selected, binding)
     except ReproError:
         return False
+    expression = rows.get(target)
     if expression is None or (not expression.variables() and not expression.evaluate({})):
         report._fail(
             "minimality",

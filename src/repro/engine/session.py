@@ -445,3 +445,16 @@ class EngineSession:
         """
         schema, rows = self.execute(expression, PROVENANCE_DOMAIN, params)
         return schema, dict(rows)
+
+
+def resolve_session(instance: DatabaseInstance, session: EngineSession | None) -> EngineSession:
+    """The one session an explain call evaluates ``instance`` through.
+
+    The caller's ``session`` when it is bound to this very instance (its warm
+    caches then serve the call), otherwise one new session over ``instance``.
+    Each public explain entry resolves once and hands the result down, so no
+    helper below it ever sees ``None`` or a session bound elsewhere.
+    """
+    if session is not None and session.instance is instance:
+        return session
+    return EngineSession(instance)

@@ -19,6 +19,7 @@ import time
 from repro.core.basic import smallest_witness_for_expression
 from repro.core.common import symmetric_difference_rows
 from repro.datagen.university import university_instance_with_size
+from repro.engine.session import EngineSession
 from repro.experiments.harness import ExperimentResult, Row, ScaleProfile, mean, run_experiment
 from repro.experiments.pairs import differing_pairs
 from repro.provenance.annotate import annotate
@@ -50,7 +51,9 @@ def scaling_experiment(
             }
             for pair in pairs:
                 started = time.perf_counter()
-                only_in_q1, only_in_q2 = symmetric_difference_rows(pair.correct, pair.wrong, instance)
+                only_in_q1, only_in_q2 = symmetric_difference_rows(
+                    pair.correct, pair.wrong, EngineSession(instance)
+                )
                 timings["raw"].append(time.perf_counter() - started)
                 if only_in_q1:
                     row, winning, losing = only_in_q1[0], pair.correct, pair.wrong

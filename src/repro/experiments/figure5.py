@@ -13,6 +13,7 @@ import time
 from repro.core.basic import smallest_witness_for_expression
 from repro.core.common import pick_witness_target
 from repro.datagen.university import university_instance_with_size
+from repro.engine.session import EngineSession
 from repro.experiments.harness import ExperimentResult, Row, ScaleProfile, mean, run_experiment
 from repro.experiments.pairs import differing_pairs
 from repro.provenance.annotate import annotate
@@ -32,9 +33,10 @@ def solver_strategy_experiment(
 
     # Pre-compute the provenance expression of one differing tuple per pair so
     # that only the solving strategy varies between the series.
+    session = EngineSession(instance)
     prepared = []
     for pair in pairs:
-        row, winning, losing = pick_witness_target(pair.correct, pair.wrong, instance)
+        row, winning, losing = pick_witness_target(pair.correct, pair.wrong, session)
         diff = Difference(winning, losing)
         pushed = push_selections_down(
             add_tuple_selection(diff, instance.schema, row), instance.schema

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from repro.catalog.instance import DatabaseInstance, Values
 from repro.catalog.schema import RelationSchema
 from repro.errors import NotApplicableError
-from repro.provenance.annotate import AnnotatedRelation, ProvenanceEvaluator
 from repro.provenance.boolexpr import Assignment, BoolExpr, bor_all
 from repro.ra.ast import (
     AggregateFunction,
@@ -474,22 +473,19 @@ def annotate_aggregate_query(
 ) -> AggregateAnnotation:
     """Compute aggregate provenance for an aggregate-at-top query.
 
-    ``session`` (when bound to this very instance) shares the caller's engine
-    caches, so the SPJUD core's scans and subplans are not recomputed per
-    grading call.
+    The SPJUD core is annotated through ``session`` when it is bound to this
+    very instance, so its scans and subplans are not recomputed per grading
+    call, and through one new session otherwise.
     """
+    from repro.engine.session import resolve_session  # lazily: see repro.provenance.annotate
+
     params = params or {}
     form = decompose_aggregate_query(expression, instance.schema)
-    if session is not None and session.instance is instance:
-        core_schema_, core_rows = session.annotated_rows(form.core, params)
-        core_annotated = AnnotatedRelation(core_schema_, core_rows)
-    else:
-        core_annotated = ProvenanceEvaluator(instance, params).annotated(form.core)
-    core_schema = core_annotated.schema
+    core_schema, core_rows = resolve_session(instance, session).annotated_rows(form.core, params)
 
     group_idx = [core_schema.index_of(name) for name in form.group_by.group_by]
     grouped: dict[Values, list[tuple[Values, BoolExpr]]] = {}
-    for row, expr in core_annotated.items():
+    for row, expr in core_rows.items():
         grouped.setdefault(tuple(row[i] for i in group_idx), []).append((row, expr))
 
     annotations: list[tuple[dict[str, NumExpr], dict[str, Any], BoolExpr]] = []

@@ -20,6 +20,11 @@ while keeping the deterministic operator order, so annotations still match
 the historical bottom-up evaluator expression for expression (the invariant
 ``tests/test_provenance_engine_path.py`` checks differentially).
 
+:func:`annotate` evaluates on a new session of its own.  The counterexample
+algorithms annotate through their explain call's session instead
+(:func:`repro.core.common.annotate_cached`), so provenance reuses the scans
+and subplans the agreement checks cached.
+
 Aggregate (GroupBy) nodes are handled by :mod:`repro.provenance.aggregate`;
 this module raises :class:`NotApplicableError` for them.
 """
@@ -34,14 +39,6 @@ from repro.catalog.schema import RelationSchema
 from repro.provenance.boolexpr import FALSE, BoolExpr
 from repro.ra.ast import RAExpression
 
-
-def _engine_session(instance: DatabaseInstance):
-    # Imported lazily: repro.engine.domains pulls in repro.provenance.boolexpr,
-    # so a module-level import here would close an import cycle through the
-    # provenance package __init__.
-    from repro.engine.session import EngineSession
-
-    return EngineSession(instance)
 
 ParamValues = Mapping[str, Any]
 
@@ -75,8 +72,13 @@ def annotate(
     instance: DatabaseInstance,
     params: ParamValues | None = None,
 ) -> AnnotatedRelation:
-    """Compute provenance-annotated results of an SPJUD expression."""
-    schema, rows = _engine_session(instance).annotated_rows(expression, params)
+    """Compute provenance-annotated results of an SPJUD expression on a new session."""
+    # Imported lazily: repro.engine.domains pulls in repro.provenance.boolexpr,
+    # so a module-level import here would close an import cycle through the
+    # provenance package __init__.
+    from repro.engine.session import EngineSession
+
+    schema, rows = EngineSession(instance).annotated_rows(expression, params)
     return AnnotatedRelation(schema, rows)
 
 
@@ -88,21 +90,3 @@ def provenance_of(
 ) -> BoolExpr:
     """How-provenance of one output row w.r.t. ``expression`` and ``instance``."""
     return annotate(expression, instance, params).expression_for(row)
-
-
-class ProvenanceEvaluator:
-    """Provenance computation bound to one instance, with engine caching.
-
-    Kept as the public handle the aggregate-provenance layer builds on;
-    repeated calls share the underlying session's structural plan and result
-    caches.
-    """
-
-    def __init__(self, instance: DatabaseInstance, params: ParamValues) -> None:
-        self.instance = instance
-        self.params = params
-        self.session = _engine_session(instance)
-
-    def annotated(self, node: RAExpression) -> AnnotatedRelation:
-        schema, rows = self.session.annotated_rows(node, self.params)
-        return AnnotatedRelation(schema, rows)

@@ -9,6 +9,11 @@ semantics exactly.  Provenance-annotated evaluation
 annotation domain, so there is a single implementation of scans, joins,
 dedup and aggregation for both.
 
+Each call here builds a new :class:`~repro.engine.session.EngineSession`, so
+repeated calls share no caches.  Code that evaluates one instance repeatedly
+holds a session itself (the counterexample algorithms resolve one per
+explain call, see :func:`~repro.engine.session.resolve_session`).
+
 Engine imports are deferred to call time: the engine's plan layer imports
 ``repro.ra.ast``, whose package ``__init__`` imports this module, so a
 module-level engine import would close an import cycle.
@@ -27,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.session import EngineSession
 
 __all__ = [
-    "Evaluator",
     "compute_aggregate",
     "evaluate",
     "results_differ",
@@ -75,25 +79,6 @@ def split_equijoin_conjuncts(
     from repro.ra.analysis import split_equijoin_conjuncts as split
 
     return split(predicate, left_schema, right_schema)
-
-
-class Evaluator:
-    """Evaluates RA expressions over one database instance.
-
-    Results of shared sub-expressions are memoised *structurally* (not by
-    ``id``), which matters for the difference-heavy student queries where the
-    same subquery appears on both sides of a difference as two distinct but
-    equal trees.
-    """
-
-    def __init__(self, instance: DatabaseInstance, params: ParamValues) -> None:
-        self.instance = instance
-        self.params = params
-        self.session = _new_session(instance)
-
-    def rows(self, node: RAExpression) -> list[Values]:
-        """Deduplicated rows of ``node`` (set semantics)."""
-        return self.session.rows(node, self.params)
 
 
 def compute_aggregate(

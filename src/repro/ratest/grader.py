@@ -117,12 +117,8 @@ class AutoGrader:
         submissions: Mapping[str, RAExpression],
         *,
         explain: bool = False,
-        workers: int = 1,
     ) -> GradeReport:
-        """Grade a mapping of question key to submitted query.
-
-        ``workers > 1`` grades the batch over the service's thread pool.
-        """
+        """Grade a mapping of question key to submitted query."""
         report = GradeReport()
         known = [
             (key, submission)
@@ -130,8 +126,7 @@ class AutoGrader:
             if key in self.questions
         ]
         graded = self.service.submit_batch(
-            [self._request(key, submission, explain=explain) for key, submission in known],
-            workers=workers,
+            [self._request(key, submission, explain=explain) for key, submission in known]
         )
         entries = {key: self._entry(key, result) for (key, _), result in zip(known, graded)}
         for question_key in submissions:
@@ -144,7 +139,7 @@ class AutoGrader:
         return report
 
     def count_discovered_wrong_queries(
-        self, wrong_queries: Mapping[str, list[RAExpression]], *, workers: int = 1
+        self, wrong_queries: Mapping[str, list[RAExpression]]
     ) -> int:
         """How many of the supplied wrong queries the hidden instance catches.
 
@@ -159,5 +154,5 @@ class AutoGrader:
             for question_key, queries in wrong_queries.items()
             for query in queries
         ]
-        graded = self.service.submit_batch(requests, workers=workers)
+        graded = self.service.submit_batch(requests)
         return sum(1 for result in graded if not result.outcome.correct)

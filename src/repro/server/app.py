@@ -250,7 +250,7 @@ class GradingServer:
         metrics.histogram(
             "repro_server_explain_stage_seconds",
             "Counterexample-pipeline phase latency (raw_eval, provenance, "
-            "solver, total), from the CounterexampleResult timings of "
+            "solver, finalize, total), from the CounterexampleResult timings of "
             "explanation-mode grades.",
         )
         metrics.counter(
@@ -765,7 +765,7 @@ class GradingServer:
         """Record the counterexample pipeline's own phase breakdown.
 
         Explanation-mode grades ship the solver's wall-clock split
-        (``raw_eval``/``provenance``/``solver``/``total``) alongside the
+        (``raw_eval``/``provenance``/``solver``/``finalize``/``total``) alongside the
         deterministic envelope (like ``grade_time``, it never enters the
         store); scraping it per stage makes "the solver is the bottleneck on
         this workload" visible in Prometheus instead of buried in payloads.

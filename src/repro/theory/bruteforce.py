@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping
 from repro.catalog.instance import DatabaseInstance
 from repro.errors import CounterexampleError
 from repro.ra.ast import RAExpression
-from repro.ra.evaluator import evaluate
+from repro.ra.evaluator import evaluate, results_differ
 
 ParamValues = Mapping[str, Any]
 
@@ -42,7 +42,7 @@ def brute_force_smallest_counterexample(
             sub = instance.subinstance(subset)
             if require_constraints and not sub.satisfies_constraints():
                 continue
-            if not evaluate(q1, sub, params).same_rows(evaluate(q2, sub, params)):
+            if results_differ(q1, q2, sub, params):
                 return frozenset(subset)
     raise CounterexampleError("no counterexample within the size bound")
 

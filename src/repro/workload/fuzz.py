@@ -717,10 +717,10 @@ class CounterexampleFuzzer:
         allow_params: bool = True,
         session: "Any | None" = None,
     ) -> None:
-        from repro.engine.session import EngineSession
+        from repro.engine.session import resolve_session
 
         self.instance = instance
-        self.session = session if session is not None else EngineSession(instance)
+        self.session = resolve_session(instance, session)
         self.fuzzer = QueryFuzzer(
             instance.schema,
             instance=instance,

@@ -1,4 +1,11 @@
-"""Concurrency stress tests: pooled grading is bit-identical to serial."""
+"""Concurrency stress tests: grading from many threads is bit-identical to serial.
+
+The service has no thread pool of its own; these tests call
+``GradingService.submit`` from their own threads, which share each dataset's
+locked warm session.
+"""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -38,11 +45,19 @@ def hidden_instance():
     return university_instance(35, seed=21)
 
 
+def submit_threaded(service, requests, workers=8):
+    """Grade every request through ``service.submit`` from ``workers`` threads."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(service.submit, requests))
+
+
 def grades(service, requests, *, workers):
-    return [
-        graded.to_dict(include_timings=False)
-        for graded in service.submit_batch(requests, workers=workers)
-    ]
+    graded = (
+        service.submit_batch(requests)
+        if workers == 1
+        else submit_threaded(service, requests, workers)
+    )
+    return [result.to_dict(include_timings=False) for result in graded]
 
 
 class TestDeterminismUnderConcurrency:
@@ -67,8 +82,8 @@ class TestDeterminismUnderConcurrency:
         service = GradingService.for_instance(hidden_instance, name="hidden")
         session = service.session_for()
         before = session.cache_info()["plan_misses"]
-        service.submit_batch(class_batch(), workers=8)
-        service.submit_batch(class_batch(), workers=8)
+        submit_threaded(service, class_batch())
+        submit_threaded(service, class_batch())
         after = session.cache_info()
         # The second batch is served from the caches: plans were only
         # compiled once per distinct query, and hits dominate misses.
@@ -82,7 +97,7 @@ class TestDeterminismUnderConcurrency:
         service = GradingService.for_instance(hidden_instance, name="hidden")
         oracle = SqliteBackend(hidden_instance)
         checked = 0
-        for request, graded in zip(requests, service.submit_batch(requests, workers=8)):
+        for request, graded in zip(requests, submit_threaded(service, requests)):
             assert graded.id == request.id
             if request.id.endswith("/crash"):
                 assert graded.outcome.error_kind is not None
@@ -105,8 +120,7 @@ class TestDeterminismUnderConcurrency:
         ]
         serial = [g.to_dict(include_timings=False) for g in service.submit_batch(requests)]
         pooled = [
-            g.to_dict(include_timings=False)
-            for g in service.submit_batch(requests, workers=4)
+            g.to_dict(include_timings=False) for g in submit_threaded(service, requests, 4)
         ]
         assert pooled == serial
         assert [g["id"] for g in pooled] == ["toy", "gen", "ok"]

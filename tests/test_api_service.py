@@ -1,5 +1,7 @@
 """Tests for the GradingService: submit, batches, error kinds, adapters."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.api import GradedSubmission, GradingService, SubmissionRequest
@@ -108,7 +110,7 @@ class TestSubmitBatch:
         graded = service.submit_batch(requests)
         assert len({id(g.outcome) for g in graded}) == 1
         assert [g.id for g in graded] == ["s0", "s1", "s2", "s3"]
-        individual = service.submit_batch(requests, deduplicate=False)
+        individual = [service.submit(request) for request in requests]
         assert len({id(g.outcome) for g in individual}) == 4
         assert [g.outcome.to_dict(include_timings=False) for g in graded] == [
             g.outcome.to_dict(include_timings=False) for g in individual
@@ -120,8 +122,9 @@ class TestSubmitBatch:
             SubmissionRequest(CORRECT, CORRECT, id="c"),
             SubmissionRequest(CORRECT, "\\project_{oops} Student", id="e"),
         ]
-        serial = service.submit_batch(requests, workers=1)
-        pooled = service.submit_batch(requests, workers=4)
+        serial = service.submit_batch(requests)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pooled = list(pool.map(service.submit, requests))
         assert [g.to_dict(include_timings=False) for g in serial] == [
             g.to_dict(include_timings=False) for g in pooled
         ]

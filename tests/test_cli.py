@@ -162,9 +162,7 @@ class TestBatchCommand:
     def test_batch_grades_jsonl(self, tmp_path, capsys):
         submissions = self.write_submissions(tmp_path)
         output = tmp_path / "grades.jsonl"
-        exit_code = main(
-            ["batch", "--input", str(submissions), "--output", str(output), "--workers", "2"]
-        )
+        exit_code = main(["batch", "--input", str(submissions), "--output", str(output)])
         assert exit_code == 0
         grades = self.read_grades(output)
         assert [g["id"] for g in grades] == ["a/q1", "b/q1", "c/q1"]

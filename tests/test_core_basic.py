@@ -50,8 +50,11 @@ class TestBasicOptimal:
         basic = smallest_counterexample_basic(question.correct_query, wrong, instance)
         optsigma_sizes = []
         from repro.core.common import symmetric_difference_rows
+        from repro.engine import EngineSession
 
-        only1, only2 = symmetric_difference_rows(question.correct_query, wrong, instance)
+        only1, only2 = symmetric_difference_rows(
+            question.correct_query, wrong, EngineSession(instance)
+        )
         for row in (only1 + only2)[:6]:
             try:
                 result = smallest_witness_optsigma(

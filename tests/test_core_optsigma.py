@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import find_smallest_witness, smallest_witness_optsigma
+from repro.core import find_smallest_counterexample, smallest_witness_optsigma
 from repro.datagen import toy_university_instance, university_instance
 from repro.errors import CounterexampleError
 from repro.ra import evaluate, results_differ
@@ -82,8 +82,10 @@ class TestOnCourseWorkload:
         # The counterexample respects the schema's foreign keys.
         assert result.counterexample.satisfies_constraints()
 
-    def test_find_smallest_witness_facade(self, instance, example1_q1, example1_q2):
-        result = find_smallest_witness(example1_q1, example1_q2, instance)
+    def test_find_smallest_counterexample_routes_spjud_to_optsigma(
+        self, instance, example1_q1, example1_q2
+    ):
+        result = find_smallest_counterexample(example1_q1, example1_q2, instance)
         assert result.algorithm == "optsigma"
         assert result.size == 3
 

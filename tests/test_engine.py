@@ -20,7 +20,6 @@ from repro.provenance import annotate
 from repro.ra import (
     AggregateFunction,
     AggregateSpec,
-    Evaluator,
     compute_aggregate,
     count,
     difference,
@@ -81,9 +80,9 @@ class TestStructuralMemoization:
         """Structurally equal subtrees on both sides of a Difference are
         evaluated once — the regression behind keying the memo by ``id``."""
         query = difference(_cs_students(), _cs_students())
-        evaluator = Evaluator(instance, {})
-        assert evaluator.rows(query) == []
-        info = evaluator.session.cache_info()
+        session = EngineSession(instance)
+        assert session.rows(query, {}) == []
+        info = session.cache_info()
         # One plan for the difference; both sides compile to the same subplan,
         # so the result cache holds difference + subplan + its descendants
         # once each, not twice.
@@ -94,11 +93,11 @@ class TestStructuralMemoization:
         assert info["cached_results"] <= distinct
 
     def test_repeated_rows_calls_hit_the_cache(self, instance):
-        evaluator = Evaluator(instance, {})
-        first = evaluator.rows(_cs_students())
-        second = evaluator.rows(_cs_students())  # a distinct but equal tree
+        session = EngineSession(instance)
+        first = session.rows(_cs_students(), {})
+        second = session.rows(_cs_students(), {})  # a distinct but equal tree
         assert first == second
-        info = evaluator.session.cache_info()
+        info = session.cache_info()
         assert info["plan_hits"] >= 1
 
     def test_param_independent_subplans_shared_across_bindings(self, instance):

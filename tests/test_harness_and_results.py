@@ -7,6 +7,7 @@ import pytest
 from repro.core.common import Stopwatch, pick_witness_target, symmetric_difference_rows
 from repro.core.results import CounterexampleResult, WitnessResult
 from repro.datagen import toy_university_instance
+from repro.engine import EngineSession
 from repro.errors import CounterexampleError
 from repro.experiments.harness import ExperimentResult, ScaleProfile, mean, run_experiment
 from repro.ra import evaluate
@@ -30,13 +31,17 @@ class TestStopwatch:
 class TestCommonHelpers:
     def test_symmetric_difference_rows(self, example1_q1, example1_q2):
         instance = toy_university_instance()
-        only1, only2 = symmetric_difference_rows(example1_q1, example1_q2, instance)
+        only1, only2 = symmetric_difference_rows(
+            example1_q1, example1_q2, EngineSession(instance)
+        )
         assert only1 == []
         assert set(only2) == {("Mary", "CS"), ("Jesse", "CS")}
 
     def test_pick_witness_target_orientation(self, example1_q1, example1_q2):
         instance = toy_university_instance()
-        row, winning, losing = pick_witness_target(example1_q1, example1_q2, instance)
+        row, winning, losing = pick_witness_target(
+            example1_q1, example1_q2, EngineSession(instance)
+        )
         assert winning is example1_q2 and losing is example1_q1
         assert row in evaluate(example1_q2, instance).rows
 
@@ -44,15 +49,15 @@ class TestCommonHelpers:
         from repro.datagen import university_instance
         from repro.workload import course_questions
 
-        instance = university_instance(40, seed=1)
+        session = EngineSession(university_instance(40, seed=1))
         checked = 0
         for question in course_questions():
             correct = question.correct_query
             for wrong in question.handwritten_wrong_queries:
-                only1, only2 = symmetric_difference_rows(correct, wrong, instance)
+                only1, only2 = symmetric_difference_rows(correct, wrong, session)
                 if not (only1 or only2):
                     continue
-                row, winning, _ = pick_witness_target(correct, wrong, instance)
+                row, winning, _ = pick_witness_target(correct, wrong, session)
                 assert row == (only1 or only2)[0]
                 assert winning is (correct if only1 else wrong)
                 checked += 1
@@ -61,7 +66,7 @@ class TestCommonHelpers:
     def test_pick_witness_target_identical_queries(self, example1_q1):
         instance = toy_university_instance()
         with pytest.raises(CounterexampleError):
-            pick_witness_target(example1_q1, example1_q1, instance)
+            pick_witness_target(example1_q1, example1_q1, EngineSession(instance))
 
 
 class TestResultObjects:
