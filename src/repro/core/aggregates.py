@@ -13,9 +13,11 @@ and 7):
   for its check budget.  Like Optσ and Agg-Opt, it selects before it
   annotates: the two concrete results name the differing groups, and only
   the core rows that can form one of them are annotated
-  (``σ_{group ∈ differing}(core)``, pushed down; see
-  :func:`_scoped_to_groups`).  The whole core is annotated only when no
-  differing group yields a candidate.
+  (``σ_{group ∈ differing}(core)``, pushed down, plus a sideways key filter
+  across each join the scope cannot cross; see :func:`_scoped_to_groups`).
+  The whole core is annotated only when no differing group yields a
+  candidate.  Candidates are solved fewest tuple variables first, their
+  variable sets computed in one walk over the nodes they share.
 * :func:`smallest_counterexample_agg_basic` with ``parameterize=True`` —
   **Agg-Param**: constants compared against aggregates are replaced by free
   integer parameters (the SPCP of Definition 3), typically shrinking the
@@ -32,8 +34,8 @@ import itertools
 from typing import Any, Iterable, Mapping
 
 from repro.catalog.instance import DatabaseInstance, Values
-from repro.catalog.schema import DatabaseSchema, RelationSchema
-from repro.core.common import Stopwatch, annotate_cached, finalize_result
+from repro.catalog.schema import RelationSchema
+from repro.core.common import Stopwatch, Witness, annotate_cached, finalize_result
 from repro.core.fk import foreign_key_clauses
 from repro.core.results import CounterexampleResult
 from repro.errors import (
@@ -53,15 +55,19 @@ from repro.provenance.aggregate import (
     annotate_aggregate_query,
     decompose_aggregate_query,
     key_column_attributes,
+    shared_variables,
 )
 from repro.ra.analysis import profile
-from repro.ra.ast import Difference, GroupBy, Projection, RAExpression, Selection
+from repro.ra.ast import Difference, GroupBy, Join, NaturalJoin, Projection, RAExpression
+from repro.engine.domains import PROVENANCE_DOMAIN
 from repro.engine.session import EngineSession, resolve_session
 from repro.ra.predicates import Predicate, conj, disj, equals_constant
 from repro.ra.rewrite import (
     add_tuple_selection,
+    equijoin_pairs,
     expression_parameters,
     parameterize_query,
+    push_selection_into,
     push_selections_down,
 )
 from repro.solver.minones import MinOnesProblem, MinOnesSolver
@@ -138,8 +144,8 @@ def smallest_counterexample_agg_basic(
         )
         # Annotate only the cores' rows that can form a differing group;
         # each whole core stays the fallback below.
-        scoped1 = _scoped_to_groups(form1, differing, instance.schema)
-        scoped2 = _scoped_to_groups(form2, differing, instance.schema)
+        scoped1 = _scoped_to_groups(form1, differing, session, original_params)
+        scoped2 = _scoped_to_groups(form2, differing, session, original_params)
         annotation1 = annotate_aggregate_query(
             scoped1 or query1, instance, original_params, session
         )
@@ -160,9 +166,7 @@ def smallest_counterexample_agg_basic(
     if not candidates:
         raise CounterexampleError("no candidate group distinguishes the two queries")
 
-    # Cheapest candidate first (fewest tuple variables involved), then by key.
-    ranked = [(key, constraint, constraint.variables()) for key, constraint in candidates]
-    ranked.sort(key=lambda item: (len(item[2]), _nulls_last(item[0])))
+    ranked = _ranked(candidates)
 
     # The per-group constraint is an abstraction of "this group distinguishes
     # the two queries"; when the two queries group differently (a student
@@ -170,7 +174,7 @@ def smallest_counterexample_agg_basic(
     # *final* results, so every solver outcome is re-validated by evaluation
     # and non-distinguishing groups are skipped — shipping an unverified
     # witness is exactly the failure mode the fuzz verifier exists to catch.
-    best: tuple[Values, Any, dict[str, Any]] | None = None
+    best: tuple[Values, Any, Witness] | None = None
     with stopwatch.measure("solver"):
         for key, constraint, variables in ranked:
             if best is not None and not all_groups:
@@ -187,17 +191,18 @@ def smallest_counterexample_agg_basic(
                 continue
             candidate_params = dict(original_params)
             candidate_params.update(outcome.parameter_values)
-            witness = EngineSession(instance.subinstance(outcome.true_variables))
-            if not _validate_on_counterexample(query1, query2, witness, candidate_params):
+            sub = EngineSession(instance.subinstance(outcome.true_variables))
+            witness = _validate_on_counterexample(query1, query2, sub, candidate_params)
+            if not witness:
                 continue
             if best is None or outcome.cost < len(best[1].true_variables):
-                best = (key, outcome, candidate_params)
+                best = (key, outcome, witness)
     if best is None:
         raise CounterexampleError(
             "the aggregate solver found no group whose witness distinguishes "
             "the two queries within its budget"
         )
-    key, outcome, final_params = best
+    key, outcome, witness = best
     algorithm = "agg-param" if parameterize else "agg-basic"
     return finalize_result(
         query1,
@@ -208,9 +213,20 @@ def smallest_counterexample_agg_basic(
         optimal=outcome.optimal,
         algorithm=algorithm,
         stopwatch=stopwatch,
-        params=final_params,
+        params=witness.params,
         solver_calls=outcome.nodes_explored,
+        witness=witness,
     )
+
+
+def _ranked(
+    candidates: list[tuple[Values, AggConstraint]]
+) -> list[tuple[Values, AggConstraint, frozenset[str]]]:
+    """Cheapest candidate first (fewest tuple variables involved), then by key."""
+    variables = shared_variables([constraint for _, constraint in candidates])
+    ranked = [(key, constraint, names) for (key, constraint), names in zip(candidates, variables)]
+    ranked.sort(key=lambda item: (len(item[2]), _nulls_last(item[0])))
+    return ranked
 
 
 def _nulls_last(key: Values) -> tuple:
@@ -239,18 +255,21 @@ def _differing_keys(
 
 
 def _scoped_to_groups(
-    form: AggregateQueryForm, keys: set[Values], db: DatabaseSchema
+    form: AggregateQueryForm, keys: set[Values], session: EngineSession, params: ParamValues
 ) -> RAExpression | None:
     """The query with its core cut to rows that can form one of the groups ``keys``.
 
     ``keys`` are tuples over the query's output key columns.  Each key column
     that copies a grouping attribute adds the conjunct ``attr = v1 ∨ attr =
-    v2 ∨ …`` over the values it takes in ``keys``.  Every core row of a group
-    in ``keys`` passes, and a filter keeps the rows' first-seen order, so
-    each of those groups annotates exactly as on the whole core.  ``None``
-    when no column restricts: none maps to a grouping attribute, each one
-    takes a NULL (or NaN) value that ``=`` never matches, or the keys are
-    not over this query's key columns.
+    v2 ∨ …`` over the values it takes in ``keys``, pushed down.  A scope on a
+    non-key column cannot cross a join, so each equi-join with exactly one
+    scoped child then gets a sideways key filter on its other child
+    (:func:`_sideways_key_filters`).  Every core row of a group in ``keys``
+    passes all of them, and a filter keeps the rows' first-seen order, so each
+    of those groups annotates exactly as on the whole core.  ``None`` when no
+    column restricts: none maps to a grouping attribute, each one takes a NULL
+    (or NaN) value that ``=`` never matches, or the keys are not over this
+    query's key columns.
     """
     attributes = key_column_attributes(form)
     if not keys or any(len(key) != len(attributes) for key in keys):
@@ -261,16 +280,83 @@ def _scoped_to_groups(
         if attribute is None:
             continue
         values = list(dict.fromkeys(key[index] for key in ordered))
-        if any(value is None or value != value for value in values):
+        if any(_never_equal(value) for value in values):
             continue
         conjuncts.append(disj([equals_constant(attribute, value) for value in values]))
     if not conjuncts:
         return None
-    core = push_selections_down(Selection(form.core, conj(conjuncts)), db)
+    db = session.instance.schema
+    whole = push_selections_down(form.core, db)
+    # The scope rebuilds only the nodes on its way down; the rest stay whole's.
+    unscoped = {id(node) for node in whole.walk()}
+    core = push_selection_into(conj(conjuncts), whole, db)
+    core = _sideways_key_filters(core, unscoped, session, params)
     scoped = form.group_by.with_children([core])
     for wrapper in reversed(form.wrappers):
         scoped = wrapper.with_children([scoped])
     return scoped
+
+
+def _never_equal(value: Any) -> bool:
+    """NULL and NaN: ``=`` matches neither, though a hash join's dict lookup may."""
+    return value is None or value != value
+
+
+def _sideways_key_filters(
+    node: RAExpression, unscoped: set[int], session: EngineSession, params: ParamValues
+) -> RAExpression:
+    """``node`` with a key filter on the unscoped child of each singly-scoped equi-join.
+
+    A subtree is scoped when the scope reached it, i.e. its identity is not
+    in ``unscoped``.  At an equi-join whose one child is scoped, the key
+    values ``K`` of that child's annotated rows become ``other_key = k1 ∨ … ∨
+    kn`` over the other child, pushed down; inside a difference that
+    restricts both operands.  Only rows that match no scoped row drop out, so
+    the join's rows and their annotations stay as they were.  ``K`` comes from
+    the annotated rows, not the Set rows: provenance keeps a row of ``A − B``
+    that ``B`` also holds (annotated ``A ∧ ¬B``).  ``session`` memoises those
+    rows and serves them again when the scoped core is annotated.  One hop
+    only: a filtered child does not in turn filter its own joins.  A join is
+    skipped when ``K`` holds a NULL or a NaN: the hash join matches ``None``
+    to ``None`` by dict equality, which an ``=`` filter would drop.
+    """
+    children = node.children()
+    if not children or id(node) in unscoped:
+        return node
+    rebuilt = [_sideways_key_filters(child, unscoped, session, params) for child in children]
+    if isinstance(node, (Join, NaturalJoin)):
+        scoped = [id(child) not in unscoped for child in children]
+        if scoped.count(True) == 1:
+            side = scoped.index(True)
+            key_filter = _key_filter(node.with_children(rebuilt), side, session, params)
+            if key_filter is not None:
+                other = 1 - side
+                rebuilt[other] = push_selection_into(
+                    key_filter, children[other], session.instance.schema
+                )
+    return node.with_children(rebuilt)
+
+
+def _key_filter(
+    join: Join | NaturalJoin, side: int, session: EngineSession, params: ParamValues
+) -> Predicate | None:
+    """``other_key ∈ K`` per equi-join pair, ``K`` the key values of child ``side``."""
+    db = session.instance.schema
+    left, right = (child.output_schema(db) for child in join.children())
+    pairs = equijoin_pairs(join, left, right, db)
+    if not pairs:
+        return None
+    schema, rows = session.execute(join.children()[side], PROVENANCE_DOMAIN, params)
+    if not rows:
+        return None
+    conjuncts: list[Predicate] = []
+    for pair in pairs:
+        index = schema.index_of(pair[side])
+        values = list(dict.fromkeys(row[index] for row in rows))
+        if any(_never_equal(value) for value in values):
+            return None
+        conjuncts.append(disj([equals_constant(pair[1 - side], value) for value in values]))
+    return conj(conjuncts)
 
 
 def _group_constraints(
@@ -389,8 +475,7 @@ def smallest_counterexample_agg_opt(
     )
     has_parameters = bool(parameterized1.original_values or parameterized2.original_values)
 
-    best_tids: frozenset[str] | None = None
-    best_params: dict[str, Any] = dict(original_params)
+    best: tuple[frozenset[str], Witness] | None = None
     solver_calls = 0
     optimal = True
     with stopwatch.measure("solver"):
@@ -400,40 +485,39 @@ def smallest_counterexample_agg_opt(
         optimal = outcome.optimal
         for attempt, tids in enumerate(_with_retries(solver, candidates, max_retries)):
             solver_calls += 1 if attempt else 0
-            witness = EngineSession(instance.subinstance(tids))
-            if _validate_on_counterexample(q1, q2, witness, original_params):
-                best_tids, best_params = tids, dict(original_params)
-                break
-            if has_parameters:
-                param_setting = _find_parameter_setting(
+            sub = EngineSession(instance.subinstance(tids))
+            witness = _validate_on_counterexample(q1, q2, sub, original_params)
+            if not witness and has_parameters:
+                witness = _find_parameter_setting(
                     parameterized1.query,
                     parameterized2.query,
-                    witness,
+                    sub,
                     {**parameterized1.original_values, **parameterized2.original_values},
                     original_params,
                 )
-                if param_setting is not None:
-                    best_tids, best_params = tids, param_setting
-                    break
+            if witness:
+                best = (tids, witness)
+                break
             optimal = False
-    if best_tids is None:
+    if best is None:
         # Heuristic failed to validate within the retry budget: fall back.
         return smallest_counterexample_agg_basic(
             q1, q2, instance, params=params, parameterize=has_parameters, session=session
         )
-    final_q1 = parameterized1.query if best_params.keys() - original_params.keys() else q1
-    final_q2 = parameterized2.query if best_params.keys() - original_params.keys() else q2
+    best_tids, witness = best
+    freed = witness.params.keys() - original_params.keys()
     return finalize_result(
-        final_q1,
-        final_q2,
+        parameterized1.query if freed else q1,
+        parameterized2.query if freed else q2,
         instance,
         best_tids,
         distinguishing_row=target,
         optimal=optimal,
         algorithm="agg-opt",
         stopwatch=stopwatch,
-        params=best_params,
+        params=witness.params,
         solver_calls=solver_calls,
+        witness=witness,
     )
 
 
@@ -462,33 +546,37 @@ def _with_retries(
 
 
 def _validate_on_counterexample(
-    q1: RAExpression, q2: RAExpression, witness: EngineSession, params: ParamValues
-) -> bool:
-    """Whether the two queries differ on the sub-instance ``witness`` is bound to."""
+    q1: RAExpression, q2: RAExpression, sub: EngineSession, params: ParamValues
+) -> Witness | None:
+    """The two queries' rows on the sub-instance ``sub`` is bound to, if they differ."""
     try:
-        return not witness.evaluate(q1, params).same_rows(witness.evaluate(q2, params))
+        q1_rows = sub.evaluate(q1, params)
+        q2_rows = sub.evaluate(q2, params)
     except (TypeError, QueryEvaluationError):
         # A synthesised parameter value of the wrong type (an integer probe
         # for a string parameter) makes a comparison ill-typed, and a
         # sub-instance can hit evaluation errors the full instance avoids
         # (division by an aggregate that is zero on this group); either way
         # the candidate simply does not validate — the search moves on.
-        return False
+        return None
+    if q1_rows.same_rows(q2_rows):
+        return None
+    return Witness(sub, dict(params), q1_rows, q2_rows)
 
 
 def _find_parameter_setting(
     q1: RAExpression,
     q2: RAExpression,
-    witness: EngineSession,
+    sub: EngineSession,
     original_values: Mapping[str, Any],
     params: ParamValues,
-) -> dict[str, Any] | None:
-    """Choose parameter values making the parameterized queries differ on the witness.
+) -> Witness | None:
+    """Choose parameter values making the parameterized queries differ on ``sub``.
 
     Candidate values follow §5.3.2: 0, 1, the original constant, and the
     aggregate values observed on the counterexample (±1).  ``params`` is the
-    caller's binding; the returned setting extends it.  Every setting is
-    tried on the one ``witness`` session, so its parameter-independent
+    caller's binding; the returned witness's setting extends it.  Every
+    setting is tried on the one session ``sub``, so its parameter-independent
     subplans are computed once.
     """
     candidates: dict[str, set[Any]] = {}
@@ -499,8 +587,8 @@ def _find_parameter_setting(
             candidates[name] = {0, 1, value}
         else:
             candidates[name] = {value}
-    observed = _observed_aggregate_values(q1, witness, params) | _observed_aggregate_values(
-        q2, witness, params
+    observed = _observed_aggregate_values(q1, sub, params) | _observed_aggregate_values(
+        q2, sub, params
     )
     for name in candidates:
         if not isinstance(original_values[name], (int, float)):
@@ -523,8 +611,9 @@ def _find_parameter_setting(
     pools = [sorted(candidates[name], key=closeness(name)) for name in names]
     for combination in itertools.islice(itertools.product(*pools), 200):
         setting = {**params, **dict(zip(names, combination))}
-        if _validate_on_counterexample(q1, q2, witness, setting):
-            return setting
+        witness = _validate_on_counterexample(q1, q2, sub, setting)
+        if witness:
+            return witness
     return None
 
 

@@ -3,15 +3,17 @@
 Each algorithm resolves its :class:`~repro.engine.session.EngineSession` once
 (:func:`~repro.engine.session.resolve_session`) and hands it to these helpers,
 which evaluate and annotate the instance through it.  The witness re-check in
-:func:`finalize_result` runs on one session over the witness sub-instance.
+:func:`finalize_result` runs on one session over the witness sub-instance,
+unless the caller hands over a :class:`Witness` it already evaluated.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from repro.catalog.instance import DatabaseInstance, Values
+from repro.catalog.instance import DatabaseInstance, ResultSet, Values
 from repro.core.results import CounterexampleResult
 from repro.engine.session import EngineSession
 from repro.errors import CounterexampleError
@@ -108,6 +110,16 @@ def pick_witness_target(
     raise CounterexampleError("the two queries return identical results on this instance")
 
 
+@dataclass(frozen=True)
+class Witness:
+    """Both queries evaluated under ``params`` on the sub-instance ``session`` is bound to."""
+
+    session: EngineSession
+    params: dict[str, Any]
+    q1_rows: ResultSet
+    q2_rows: ResultSet
+
+
 def finalize_result(
     q1: RAExpression,
     q2: RAExpression,
@@ -120,18 +132,23 @@ def finalize_result(
     stopwatch: Stopwatch,
     params: ParamValues | None = None,
     solver_calls: int = 0,
+    witness: Witness | None = None,
 ) -> CounterexampleResult:
     """Materialise the counterexample, re-evaluate both queries and verify it.
 
+    A ``witness`` over ``instance.subinstance(tids)`` that already holds
+    ``q1`` and ``q2``'s rows under ``params`` stands in for the re-evaluation.
     The re-check is the ``finalize`` phase; ``stopwatch`` stops after it, so
     ``timings["total"]`` covers the whole call.
     """
     tid_set = frozenset(tids)
     with stopwatch.measure("finalize"):
-        counterexample = instance.subinstance(tid_set)
-        witness = EngineSession(counterexample)
-        q1_rows = witness.evaluate(q1, params)
-        q2_rows = witness.evaluate(q2, params)
+        if witness is None:
+            session = EngineSession(instance.subinstance(tid_set))
+            q1_rows, q2_rows = session.evaluate(q1, params), session.evaluate(q2, params)
+        else:
+            session, q1_rows, q2_rows = witness.session, witness.q1_rows, witness.q2_rows
+        counterexample = session.instance
     return CounterexampleResult(
         tids=tid_set,
         counterexample=counterexample,

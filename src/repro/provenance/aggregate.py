@@ -33,7 +33,14 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from repro.catalog.instance import DatabaseInstance, Values
 from repro.catalog.schema import RelationSchema
 from repro.errors import NotApplicableError
-from repro.provenance.boolexpr import Assignment, BoolExpr, bor_all
+from repro.provenance.boolexpr import (
+    AndExpr,
+    Assignment,
+    BoolExpr,
+    NotExpr,
+    OrExpr,
+    bor_all,
+)
 from repro.ra.ast import (
     AggregateFunction,
     AggregateSpec,
@@ -317,6 +324,45 @@ def agg_or(operands: Sequence[AggConstraint]) -> AggConstraint:
     if len(operands) == 1:
         return operands[0]
     return AggOr(tuple(operands))
+
+
+def shared_variables(constraints: Sequence[AggConstraint]) -> list[frozenset[str]]:
+    """Each constraint's :meth:`~AggConstraint.variables`, one walk for all of them.
+
+    The constraints of one query pair share most of their nodes: a group's
+    condition recurs in every disjunct of its candidate, and each core row's
+    annotation in the group's presence and in every aggregate over it.  The
+    variable set of each node is computed once, keyed by the node's identity.
+    """
+    memo: dict[int, frozenset[str]] = {}
+    return [_variables_of(constraint, memo) for constraint in constraints]
+
+
+def _variables_of(node, memo: dict[int, frozenset[str]]) -> frozenset[str]:
+    found = memo.get(id(node))
+    if found is None:
+        parts = _PARTS.get(type(node))
+        if parts is None:
+            found = node.variables()
+        else:
+            found = frozenset().union(*(_variables_of(part, memo) for part in parts(node)))
+        memo[id(node)] = found
+    return found
+
+
+#: The nodes directly below each composite constraint, number or Boolean node.
+_PARTS: dict[type, Callable[[Any], Sequence[Any]]] = {
+    AggAnd: operator.attrgetter("operands"),
+    AggOr: operator.attrgetter("operands"),
+    AndExpr: operator.attrgetter("operands"),
+    OrExpr: operator.attrgetter("operands"),
+    AggNot: lambda node: (node.operand,),
+    NotExpr: lambda node: (node.operand,),
+    BoolCondition: lambda node: (node.expression,),
+    AggComparison: lambda node: (node.left, node.right),
+    ValuesDiffer: lambda node: (node.left, node.right),
+    SymbolicAggregate: lambda node: [condition for condition, _ in node.contributions],
+}
 
 
 def _values_equal(left: Any, right: Any) -> bool:

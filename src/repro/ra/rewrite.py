@@ -72,7 +72,7 @@ def push_selections_down(expression: RAExpression, db: DatabaseSchema) -> RAExpr
 def _push(node: RAExpression, db: DatabaseSchema) -> RAExpression:
     if isinstance(node, Selection):
         child = _push(node.child, db)
-        return _push_selection_into(node.predicate, child, db)
+        return push_selection_into(node.predicate, child, db)
     children = [_push(child, db) for child in node.children()]
     if not children:
         return node
@@ -126,15 +126,20 @@ def _sink_join_conjuncts(node: Join, db: DatabaseSchema) -> Join:
     return Join(rebuilt[0], rebuilt[1], conj(kept) if kept else None)
 
 
-def _push_selection_into(
+def push_selection_into(
     predicate: Predicate, node: RAExpression, db: DatabaseSchema
 ) -> RAExpression:
+    """``σ_predicate(node)`` pushed down, for a ``node`` already pushed down.
+
+    Only the nodes on the way down are rebuilt: every subtree the selection
+    does not reach is returned as the very same object.
+    """
     conjuncts = predicate.conjuncts()
 
     if isinstance(node, Selection):
         # Merge and keep pushing through the inner selection's child.
         merged = conj(conjuncts + node.predicate.conjuncts())
-        return _push_selection_into(merged, node.child, db)
+        return push_selection_into(merged, node.child, db)
 
     if isinstance(node, (Union, Difference, Intersection)):
         left_schema = node.children()[0].output_schema(db)
@@ -144,8 +149,8 @@ def _push_selection_into(
             predicate,
             dict(zip(left_schema.attribute_names, right_schema.attribute_names)),
         )
-        left = _push_selection_into(left_pred, node.children()[0], db)
-        right = _push_selection_into(right_pred, node.children()[1], db)
+        left = push_selection_into(left_pred, node.children()[0], db)
+        right = push_selection_into(right_pred, node.children()[1], db)
         return node.with_children([left, right])
 
     if isinstance(node, Projection):
@@ -156,7 +161,7 @@ def _push_selection_into(
             for name in conjunct.referenced_columns()
         ):
             renamed = _rename_predicate_columns(predicate, mapping)
-            pushed = _push_selection_into(renamed, node.child, db)
+            pushed = push_selection_into(renamed, node.child, db)
             return node.with_children([pushed])
         return Selection(node, predicate)
 
@@ -165,7 +170,7 @@ def _push_selection_into(
         out_schema = node.output_schema(db)
         mapping = dict(zip(out_schema.attribute_names, child_schema.attribute_names))
         renamed = _rename_predicate_columns(predicate, mapping)
-        pushed = _push_selection_into(renamed, node.child, db)
+        pushed = push_selection_into(renamed, node.child, db)
         return node.with_children([pushed])
 
     if isinstance(node, (Join, NaturalJoin)):
@@ -177,7 +182,7 @@ def _push_selection_into(
         remaining = [c for c in conjuncts if c not in pushable]
         result: RAExpression = node
         if pushable:
-            pushed_child = _push_selection_into(conj(pushable), node.child, db)
+            pushed_child = push_selection_into(conj(pushable), node.child, db)
             result = node.with_children([pushed_child])
         if remaining:
             result = Selection(result, conj(remaining))
@@ -209,7 +214,7 @@ def _push_into_join(
             kept.append(conjunct)
 
     # Equality propagation: col = const can cross the join along equi-join pairs.
-    for pair_left, pair_right in _equijoin_pairs(node, left_schema, right_schema, db):
+    for pair_left, pair_right in equijoin_pairs(node, left_schema, right_schema, db):
         for conjunct in conjuncts:
             constant = constant_equality(conjunct)
             if constant is None:
@@ -220,17 +225,18 @@ def _push_into_join(
             elif column == pair_right:
                 left_conjuncts.append(Comparison("=", ColumnRef(pair_left), Literal(literal)))
 
-    new_left = _push_selection_into(conj(left_conjuncts), left, db) if left_conjuncts else left
-    new_right = _push_selection_into(conj(right_conjuncts), right, db) if right_conjuncts else right
+    new_left = push_selection_into(conj(left_conjuncts), left, db) if left_conjuncts else left
+    new_right = push_selection_into(conj(right_conjuncts), right, db) if right_conjuncts else right
     rebuilt = node.with_children([new_left, new_right])
     if kept:
         return Selection(rebuilt, conj(kept))
     return rebuilt
 
 
-def _equijoin_pairs(
+def equijoin_pairs(
     node: Join | NaturalJoin, left_schema, right_schema, db: DatabaseSchema
 ) -> list[tuple[str, str]]:
+    """The join's ``left column = right column`` pairs, left column first."""
     if isinstance(node, NaturalJoin):
         return [(name, name) for name in node.shared_attributes(db)]
     pairs: list[tuple[str, str]] = []

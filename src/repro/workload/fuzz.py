@@ -845,7 +845,9 @@ def run_counterexample_fuzz(
     aggregate solver exhausting its budget, dirty fuzz data making the FK
     clauses unsatisfiable); ``error`` outcomes and invalid verification
     reports are bugs, and ``CounterexampleOutcome.repro()`` prints the seeded
-    DSL one-liner that reproduces them.
+    DSL one-liner that reproduces them.  Each verification runs on a session
+    of its own, so a wrong memo entry in the session that computed a witness
+    is caught rather than confirmed.
     """
     from repro.core.finder import find_smallest_counterexample
     from repro.core.verify import verify_counterexample
@@ -896,7 +898,6 @@ def run_counterexample_fuzz(
                     instance,
                     result,
                     params=pair.params,
-                    session=fuzzer.session,
                     bruteforce_budget=bruteforce_budget,
                     enumeration_budget=enumeration_budget,
                 )

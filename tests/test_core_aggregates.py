@@ -8,6 +8,7 @@ from repro.core import (
     smallest_counterexample_agg_opt,
 )
 from repro.datagen import toy_university_instance
+from repro.engine.session import EngineSession
 from repro.errors import CounterexampleError
 from repro.parser import parse_query
 from repro.ra import evaluate
@@ -225,7 +226,9 @@ def _assert_scoped_matches_whole(q1, q2, instance, params=None, session=None) ->
     scoped_count = 0
     for query, form in ((q1, form1), (q2, form2)):
         whole = annotate_aggregate_query(query, instance, params, session)
-        scoped = aggregates._scoped_to_groups(form, keys, instance.schema)
+        scoped = aggregates._scoped_to_groups(
+            form, keys, session or EngineSession(instance), params
+        )
         if scoped is None:
             continue
         scoped_count += 1
@@ -280,6 +283,11 @@ def tpch():
     from repro.datagen import tpch_instance
 
     return tpch_instance(1)
+
+
+@pytest.fixture(scope="module")
+def tpch_session(tpch):
+    return EngineSession(tpch)
 
 
 def _tpch_pairs():
@@ -351,7 +359,7 @@ class TestScopedProvenance:
         )
         form1, _, keys = _differing(q1, q2, instance, {})
         assert keys == {()}
-        assert aggregates._scoped_to_groups(form1, keys, instance.schema) is None
+        assert aggregates._scoped_to_groups(form1, keys, EngineSession(instance), {}) is None
         _assert_witness_unchanged(q1, q2, instance)
 
     def test_two_grouping_keys_collapsing_to_one_projected_key(self, instance):
@@ -396,7 +404,7 @@ class TestScopedProvenance:
         q2 = parse_query("\\aggr_{group: g, h; sum(v) -> s} \\select_{v > 2} T")
         form1, _, keys = _differing(q1, q2, db, {})
         assert keys == {(None, "x"), (1, "x")}
-        scoped = aggregates._scoped_to_groups(form1, keys, db.schema)
+        scoped = aggregates._scoped_to_groups(form1, keys, EngineSession(db), {})
         filters = [n.predicate for n in scoped.walk() if isinstance(n, Selection)]
         assert [f.referenced_columns() for f in filters] == [{"h"}]
         assert _assert_scoped_matches_whole(q1, q2, db) == 2
@@ -407,7 +415,7 @@ class TestScopedProvenance:
         q2 = parse_query("\\aggr_{group: g; sum(v) -> s} \\select_{v > 2} T")
         form1, _, keys = _differing(q1, q2, db, {})
         assert (None,) in keys
-        assert aggregates._scoped_to_groups(form1, keys, db.schema) is None
+        assert aggregates._scoped_to_groups(form1, keys, EngineSession(db), {}) is None
         # NULL and 1 tie on variable count: ranking them must not compare None < 1.
         assert smallest_counterexample_agg_basic(q1, q2, db).verified
         _assert_witness_unchanged(q1, q2, db)
@@ -436,3 +444,144 @@ class TestScopedProvenance:
         assert result.distinguishing_row == ("John",)
         monkeypatch.undo()
         _assert_witness_unchanged(q1, q2, instance)
+
+    def test_key_filter_enters_both_operands_of_a_difference(self, tpch):
+        from repro.core import aggregates
+        from repro.ra.ast import Difference, RelationRef, Selection
+        from repro.ra.predicates import constant_equality
+        from repro.workload import tpch_query
+
+        q1 = tpch_query("Q21-S").correct_query
+        q2 = parse_query(tpch_query("Q21-S").wrong_texts[1])
+        form1, _, keys = _differing(q1, q2, tpch, {})
+        names = {key[0] for key in keys}
+        suppliers = tpch.relation("supplier").schema
+        suppkeys = {
+            values[suppliers.index_of("s_suppkey")]
+            for _, values in tpch.relation("supplier").tuples()
+            if values[suppliers.index_of("s_name")] in names
+        }
+        assert 0 < len(suppkeys) < len(tpch.relation("supplier"))
+        scoped = aggregates._scoped_to_groups(form1, keys, EngineSession(tpch), {})
+        (difference,) = [node for node in scoped.walk() if isinstance(node, Difference)]
+        for operand in difference.children():
+            filtered = []
+            for node in operand.walk():
+                if isinstance(node, Selection) and node.child == RelationRef("lineitem"):
+                    for conjunct in node.predicate.conjuncts():
+                        if conjunct.referenced_columns() == {"l_suppkey"}:
+                            equalities = getattr(conjunct, "operands", [conjunct])
+                            filtered.append({constant_equality(c)[1] for c in equalities})
+            assert filtered == [suppkeys]
+
+    def test_null_in_a_join_key_set_leaves_the_other_side_unfiltered(self):
+        from repro.catalog.instance import DatabaseInstance
+        from repro.catalog.schema import Attribute, DatabaseSchema, RelationSchema
+        from repro.catalog.types import DataType
+        from repro.core import aggregates
+        from repro.ra.ast import RelationRef, Selection
+
+        schema = DatabaseSchema.of(
+            [
+                RelationSchema(
+                    "T",
+                    (Attribute("g", DataType.STRING), Attribute("k", DataType.INT, nullable=True)),
+                ),
+                RelationSchema(
+                    "U",
+                    (Attribute("k2", DataType.INT, nullable=True), Attribute("w", DataType.INT)),
+                ),
+            ]
+        )
+        db = DatabaseInstance(schema)
+        for values in [("a", None), ("a", 1), ("b", 2), ("c", 3), ("d", 4)]:
+            db.insert("T", values)
+        for values in [(None, 5), (1, 7), (2, 4), (3, 9), (3, 1), (4, 8)]:
+            db.insert("U", values)
+        q1 = parse_query("\\aggr_{group: g; sum(w) -> s} (T \\join_{k = k2} U)")
+
+        def u_filters(threshold):
+            q2 = parse_query(
+                "\\aggr_{group: g; sum(w) -> s} "
+                f"(T \\join_{{k = k2}} \\select_{{w > {threshold}}} U)"
+            )
+            form1, _, keys = _differing(q1, q2, db, {})
+            scoped = aggregates._scoped_to_groups(form1, keys, EngineSession(db), {})
+            assert _assert_scoped_matches_whole(q1, q2, db) == 2
+            _assert_witness_unchanged(q1, q2, db)
+            return keys, [
+                node.predicate.referenced_columns()
+                for node in scoped.walk()
+                if isinstance(node, Selection) and node.child == RelationRef("U")
+            ]
+
+        # The hash join pairs T's NULL key with U's NULL key, so group a
+        # needs U's (NULL, 5): a key set holding the NULL filters nothing.
+        assert u_filters(5) == ({("a",), ("b",), ("c",)}, [])
+        # Without group a the key set is {2, 3}, and U is cut to it.
+        assert u_filters(4) == ({("b",), ("c",)}, [{"k2"}])
+
+
+class TestCandidateRanking:
+    """Candidates are solved in ``(len(variables), key)`` order, as if each
+    constraint's ``variables()`` were computed and sorted on."""
+
+    @staticmethod
+    def _assert_old_order(candidates, ranked):
+        from repro.core import aggregates
+
+        expected = sorted(
+            ((key, constraint.variables()) for key, constraint in candidates),
+            key=lambda item: (len(item[1]), aggregates._nulls_last(item[0])),
+        )
+        assert [(key, names) for key, _, names in ranked] == expected
+
+    @pytest.mark.parametrize("query,index", _tpch_pairs())
+    def test_tpch_pairs(self, tpch, tpch_session, query, index, monkeypatch):
+        from repro.core import aggregates
+
+        seen = []
+        real = aggregates._ranked
+
+        def spy(candidates):
+            ranked = real(candidates)
+            seen.append((candidates, ranked))
+            return ranked
+
+        monkeypatch.setattr(aggregates, "_ranked", spy)
+        q1, q2 = query.correct_query, parse_query(query.wrong_texts[index])
+        smallest_counterexample_agg_basic(q1, q2, tpch, parameterize=True, session=tpch_session)
+        ((candidates, ranked),) = seen
+        self._assert_old_order(candidates, ranked)
+        if (query.key, index) == ("Q18", 0):
+            assert len(candidates) == 176
+
+    def test_all_groups_solves_every_candidate_in_the_old_order(
+        self, tpch, tpch_session, monkeypatch
+    ):
+        from repro.core import aggregates
+        from repro.workload import tpch_query
+
+        seen, solved = [], []
+        ranked_for_real, problem_for_real = aggregates._ranked, aggregates.AggregateProblem
+
+        def rank(candidates):
+            ranked = ranked_for_real(candidates)
+            seen.append((candidates, ranked))
+            return ranked
+
+        def problem(constraint):
+            solved.append(constraint)
+            return problem_for_real(constraint=constraint)
+
+        monkeypatch.setattr(aggregates, "_ranked", rank)
+        monkeypatch.setattr(aggregates, "AggregateProblem", problem)
+        q1 = tpch_query("Q18").correct_query
+        q2 = parse_query(tpch_query("Q18").wrong_texts[0])
+        result = smallest_counterexample_agg_basic(
+            q1, q2, tpch, parameterize=True, all_groups=True, session=tpch_session
+        )
+        ((candidates, ranked),) = seen
+        self._assert_old_order(candidates, ranked)
+        assert solved == [constraint for _, constraint, _ in ranked]
+        assert result.verified and result.optimal

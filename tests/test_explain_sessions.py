@@ -148,7 +148,7 @@ def test_agg_opt_cases_reach_the_paths_they_cover(example1, monkeypatch):
     q1, q2, algorithm, params = _case("agg-opt-parameters", example1)
     result = find_smallest_counterexample(q1, q2, instance, algorithm=algorithm, params=params)
     assert result.algorithm == "agg-opt"
-    assert searched and searched[-1] == result.parameter_values
+    assert searched and searched[-1].params == result.parameter_values
 
 
 def test_verify_with_minimality_builds_one_session_per_instance(example1, built):
