@@ -52,10 +52,6 @@ class Relation:
         self._next_id = 1
         self._version = 0
         self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple[str, Values]]]] = {}
-        # Distinct-value statistics are kept as multiplicity maps
-        # (key value -> number of rows carrying it) so they can be maintained
-        # incrementally under delete/update, not just counted once.
-        self._distinct_counts: dict[tuple[int, ...], dict[tuple, int]] = {}
         self._log: deque[LogEntry] = deque(maxlen=MUTATION_LOG_CAPACITY)
         # Insertion rank of every tid, built only when an update moves a
         # tuple between index buckets, and maintained from then on.
@@ -109,8 +105,7 @@ class Relation:
         """Delete a tuple by identifier, returning its values.
 
         Raises :class:`KeyError` for unknown identifiers.  Cached hash
-        indexes and distinct-count statistics are maintained in place rather
-        than discarded.
+        indexes are maintained in place rather than discarded.
         """
         try:
             values = self._rows.pop(tid)
@@ -181,7 +176,6 @@ class Relation:
         for key_indexes, index in self._indexes.items():
             key = tuple(values[i] for i in key_indexes)
             index.setdefault(key, []).append((tid, values))
-        self._count(values, 1)
 
     def _index_remove(self, tid: str, values: Values) -> None:
         for key_indexes, index in self._indexes.items():
@@ -192,7 +186,6 @@ class Relation:
             bucket[:] = [pair for pair in bucket if pair[0] != tid]
             if not bucket:
                 del index[key]
-        self._count(values, -1)
 
     def _index_replace(self, tid: str, old: Values, new: Values) -> None:
         """Re-key an updated tuple, keeping every bucket in insertion order.
@@ -216,23 +209,12 @@ class Relation:
             target = index.setdefault(new_key, [])
             at = bisect(target, ranks[tid], key=lambda pair: ranks[pair[0]])
             target.insert(at, (tid, new))
-        self._count(old, -1)
-        self._count(new, 1)
 
     def _insertion_ranks(self) -> dict[str, int]:
         if self._ranks is None:
             self._ranks = {tid: rank for rank, tid in enumerate(self._rows)}
             self._next_rank = len(self._rows)
         return self._ranks
-
-    def _count(self, values: Values, step: int) -> None:
-        for key_indexes, counter in self._distinct_counts.items():
-            key = tuple(values[i] for i in key_indexes)
-            remaining = counter.get(key, 0) + step
-            if remaining > 0:
-                counter[key] = remaining
-            else:
-                counter.pop(key, None)
 
     # -- access ------------------------------------------------------------
 
@@ -276,26 +258,6 @@ class Relation:
                 index.setdefault(key, []).append((tid, values))
             self._indexes[key_indexes] = index
         return index
-
-    def distinct_count(self, key_indexes: tuple[int, ...]) -> int:
-        """Number of distinct values at ``key_indexes`` (optimizer statistics).
-
-        Served from the cached hash index when one already exists (equi-joins
-        build those anyway); otherwise from a cached multiplicity map —
-        cheaper than materialising an index nobody will probe — which is
-        maintained incrementally across mutations rather than recounted.
-        """
-        index = self._indexes.get(key_indexes)
-        if index is not None:
-            return len(index)
-        counter = self._distinct_counts.get(key_indexes)
-        if counter is None:
-            counter = {}
-            for values in self._rows.values():
-                key = tuple(values[i] for i in key_indexes)
-                counter[key] = counter.get(key, 0) + 1
-            self._distinct_counts[key_indexes] = counter
-        return len(counter)
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Rows as attribute-name dictionaries (handy for display and tests)."""

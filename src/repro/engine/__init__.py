@@ -3,13 +3,12 @@
 Queries are compiled from the RA AST into a logical plan
 (:mod:`repro.engine.logical`), optimized (:mod:`repro.engine.optimizer` —
 selection pushdown and join-conjunct sinking via :mod:`repro.ra.rewrite`,
-then, for the Set domain, a cost-based pipeline over instance statistics
-(:mod:`repro.engine.stats`): semijoin reduction of foreign-key joins and the
-hash-join build-side choice), and executed by physical operators
+then, for the Set domain, the hash-join build-side choice from row-count
+estimates), and executed by physical operators
 (:mod:`repro.engine.physical`) that are generic over an annotation domain
 (:mod:`repro.engine.domains`): :class:`SetDomain` yields plain set-semantics
 results, :class:`ProvenanceDomain` yields Boolean how-provenance.  Scan,
-filter, project, hash join and semijoin run on columnar batches
+filter, project and hash join run on columnar batches
 (:mod:`repro.engine.columnar`) under every domain, with an annotation column
 under all but the Set domain.  There are two plan flavours: the Set domain
 runs the full pipeline, order-sensitive domains the pushdown-only plan.  The ``evaluate()`` and ``annotate()``
@@ -40,7 +39,6 @@ from repro.engine.logical import (
     PlanNode,
     ProjectOp,
     ScanOp,
-    SemiJoinOp,
     UnionOp,
     compile_plan,
     plan_operators,
@@ -48,14 +46,11 @@ from repro.engine.logical import (
 )
 from repro.engine.optimizer import (
     CardinalityEstimator,
-    apply_semijoin_reduction,
     choose_build_sides,
-    estimate_rows,
     optimize_expression,
 )
 from repro.engine.physical import PlanExecutor, apply_aggregate, compile_predicate
 from repro.engine.session import EngineSession
-from repro.engine.stats import PlanStats, StatsCatalog
 from repro.engine.structural import KeyCache, StructuralKey, structural_hash
 
 __all__ = [
@@ -74,24 +69,19 @@ __all__ = [
     "PROVENANCE_DOMAIN",
     "PlanExecutor",
     "PlanNode",
-    "PlanStats",
     "ProjectOp",
     "ProvenanceDomain",
     "SET_DOMAIN",
     "ScanOp",
-    "SemiJoinOp",
     "SetDomain",
     "SqliteBackend",
-    "StatsCatalog",
     "StructuralKey",
     "UnionOp",
     "apply_aggregate",
-    "apply_semijoin_reduction",
     "as_mapping",
     "choose_build_sides",
     "compile_plan",
     "compile_predicate",
-    "estimate_rows",
     "optimize_expression",
     "plan_operators",
     "split_equijoin_conjuncts",

@@ -3,8 +3,8 @@
 The original RATest translated relational algebra into SQL CTEs and ran them
 on SQL Server; this module does the same against SQLite — the one production
 engine every Python install ships with — to check the in-process engine.
-:meth:`SqliteBackend.rows` compiles a query's pushdown-only plan (no semijoin
-reduction, no build-side choice) to a ``WITH`` chain, one CTE per operator,
+:meth:`SqliteBackend.rows` compiles a query's pushdown-only plan (no
+build-side choice) to a ``WITH`` chain, one CTE per operator,
 runs it on a ``:memory:`` copy of the instance (reloaded whenever the
 instance's ``data_version`` changes) and returns the row set the engine
 must agree with.  Grading never runs here.
@@ -562,9 +562,8 @@ class SqliteBackend:
     ) -> frozenset:
         """The row set of ``expression``, computed on SQLite.
 
-        Runs the pushdown-only plan, so the engine's semijoin reduction and
-        build-side choice are checked against an executor that never saw
-        them.  Raises :class:`BackendUnsupportedError` instead of answering
+        Runs the pushdown-only plan, so the engine's build-side choice is
+        checked against an executor that never saw it.  Raises :class:`BackendUnsupportedError` instead of answering
         when the plan or binding cannot run faithfully.
         """
         db = self.instance.schema

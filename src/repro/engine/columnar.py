@@ -1,4 +1,4 @@
-"""Columnar batches: the executor's scan, filter, project, join and semijoin.
+"""Columnar batches: the executor's scan, filter, project and hash join.
 
 A :class:`ColumnBatch` holds the distinct rows of an intermediate result in
 first-seen order, with per-column value lists materialized lazily, so
@@ -8,7 +8,7 @@ public facades consume on demand (:meth:`ColumnBatch.to_mapping`), and the
 conversion is cached, so session memos can hold either representation
 interchangeably.
 
-These five operators run under every annotation domain.  Under the Set
+These four operators run under every annotation domain.  Under the Set
 domain a batch carries no annotations at all (every row is simply present)
 and the inner loops stay bare; under any other domain it carries one
 annotation per row, folded exactly as the reference provenance interpreter
@@ -45,7 +45,6 @@ from repro.engine.logical import (
     PlanNode,
     ProjectOp,
     ScanOp,
-    SemiJoinOp,
 )
 from repro.engine.physical import compile_predicate, key_function
 from repro.errors import QueryEvaluationError, UnknownAttributeError
@@ -203,8 +202,6 @@ def execute_columnar(executor: "PlanExecutor", plan: PlanNode) -> ColumnBatch:
         return _project(executor, plan)
     if isinstance(plan, JoinOp):
         return _hash_join(executor, plan)
-    if isinstance(plan, SemiJoinOp):
-        return _semi_join(executor, plan)
     raise QueryEvaluationError(
         f"plan node {type(plan).__name__} has no columnar lowering"
     )  # pragma: no cover - dispatch is gated on the same isinstance checks
@@ -434,21 +431,3 @@ def _annotated_join(domain, plan, table, probe, extract, residual, params) -> Co
             existing = out.get(combined)
             out[combined] = annotation if existing is None else domain.plus(existing, annotation)
     return _folded_batch(out)
-
-
-def _semi_join(executor: "PlanExecutor", plan: SemiJoinOp) -> ColumnBatch:
-    left = _child_batch(executor, plan.left)
-    if isinstance(plan.right, ScanOp):
-        if executor.analyzer is not None:
-            executor.analyzer.note(from_index=True)
-        keys = executor.instance.relation(plan.right.relation).hash_index(plan.right_key)
-    else:
-        extract_right = key_function(plan.right_key)
-        keys = {extract_right(row) for row in _child_batch(executor, plan.right).rows()}
-    extract = key_function(plan.left_key)
-    if left.annotations is not None:
-        return _select(left, [s for s, row in enumerate(left.rows()) if extract(row) in keys])
-    rows = [row for row in left.rows() if extract(row) in keys]
-    if len(rows) == len(left):
-        return left
-    return ColumnBatch(rows)

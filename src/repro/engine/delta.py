@@ -217,7 +217,7 @@ class DeltaMaintainer:
             return self._patch_join(plan, params, old, executor, touched)
         if isinstance(plan, AggregateOp):
             return self._patch_aggregate(plan, params, old, executor, touched)
-        # Scan, semi-join, union, difference, intersect, cross: re-execute
+        # Scan, union, difference, intersect, cross: re-execute
         # against memoized (already patched) children — never touches base
         # data for untouched inputs, and a scan rebuild is O(|R|) anyway.
         return executor._execute(plan)

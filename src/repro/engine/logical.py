@@ -148,26 +148,6 @@ class JoinOp(PlanNode):
 
 @_cached_hash
 @dataclass(frozen=True)
-class SemiJoinOp(PlanNode):
-    """Keep the left rows whose key matches at least one right row.
-
-    Produced only by the optimizer (semijoin reduction of FK joins); never
-    emitted by compilation.  Output schema and annotations are the left
-    input's, untouched — the right side acts purely as a filter, so the
-    operator is valid for order-insensitive domains under set semantics.
-    """
-
-    left: PlanNode
-    right: PlanNode
-    left_key: tuple[int, ...]
-    right_key: tuple[int, ...]
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
-
-@_cached_hash
-@dataclass(frozen=True)
 class CrossOp(PlanNode):
     """Nested-loop cross product with an optional residual filter.
 

@@ -7,7 +7,7 @@ result in first-seen order, each with an annotation in the executing
 classic evaluator; under :data:`~repro.engine.domains.PROVENANCE_DOMAIN` the
 same operators yield Boolean how-provenance.
 
-Scan, filter, project, hash join and semijoin run on the batches of
+Scan, filter, project and hash join run on the batches of
 :mod:`repro.engine.columnar` under every domain (annotation-free under the
 Set domain).  Cross product, union, difference, intersection and
 aggregation, which have no columnar lowering, live here and work on the
@@ -35,7 +35,6 @@ from repro.engine.logical import (
     PlanNode,
     ProjectOp,
     ScanOp,
-    SemiJoinOp,
     UnionOp,
 )
 from repro.ra.ast import AggregateFunction
@@ -239,7 +238,7 @@ def aggregate_groups(
 # ---------------------------------------------------------------------------
 
 #: Plan nodes with a columnar lowering (see :mod:`repro.engine.columnar`).
-_COLUMNAR_NODES = (ScanOp, FilterOp, ProjectOp, JoinOp, SemiJoinOp)
+_COLUMNAR_NODES = (ScanOp, FilterOp, ProjectOp, JoinOp)
 
 
 def referenced_params(

@@ -24,8 +24,8 @@ wholesale invalidation.
 
 Each plan comes in one of two flavours, picked by the executing domain; both
 run on the same operators (columnar batches, annotated under every domain
-but Set).  The Set domain runs the full pipeline (pushdown, semijoin
-reduction of FK joins, the hash-join build-side choice).  Provenance (and any
+but Set).  The Set domain runs the full pipeline (pushdown, then the
+hash-join build-side choice from row-count estimates).  Provenance (and any
 other *order-sensitive* annotation domain, see
 :attr:`~repro.engine.domains.AnnotationDomain.order_sensitive`) runs the
 pushdown-only "logical" plan: flipping a build side reorders how Boolean
@@ -64,12 +64,10 @@ from repro.engine.delta import DeltaMaintainer, plan_scan_relations
 from repro.engine.logical import PlanNode, compile_plan
 from repro.engine.optimizer import (
     CardinalityEstimator,
-    apply_semijoin_reduction,
     choose_build_sides,
     optimize_expression,
 )
 from repro.engine.physical import PlanExecutor
-from repro.engine.stats import StatsCatalog
 from repro.engine.structural import KeyCache, StructuralKey
 from repro.errors import ReproError
 from repro.lru import LRUCache
@@ -85,7 +83,6 @@ class EngineSession:
 
     def __init__(self, instance: DatabaseInstance) -> None:
         self.instance = instance
-        self._stats = StatsCatalog(instance)
         self._keys = KeyCache()
         self._plans: dict[tuple[str, StructuralKey], PlanNode] = {}
         # Output schemas are pure functions of the database schema, so they
@@ -271,9 +268,9 @@ class EngineSession:
 
         ``"logical"`` — selection pushdown only, deterministic operator order
         (what order-sensitive domains such as provenance run on);
-        ``"optimized"`` — additionally the cost-based passes over the bound
-        instance's statistics: semijoin reduction of FK joins and the
-        hash-join build-side choice.
+        ``"optimized"`` — additionally the hash-join build-side choice, each
+        join building on the input with fewer estimated rows (relation sizes
+        only, so planning reads no row of the instance).
         """
         mode = "logical" if domain.order_sensitive else "optimized"
         key = (mode, self._keys.key(expression))
@@ -285,9 +282,7 @@ class EngineSession:
         db = self.instance.schema
         plan = compile_plan(optimize_expression(expression, db), db)
         if mode == "optimized":
-            estimator = CardinalityEstimator(self.instance, self._stats)
-            plan = apply_semijoin_reduction(plan, self.instance, estimator)
-            plan = choose_build_sides(plan, self.instance, estimator)
+            plan = choose_build_sides(plan, CardinalityEstimator(self.instance))
         self._plans[key] = plan
         return plan
 
@@ -295,8 +290,8 @@ class EngineSession:
         """Drop every cached result set while keeping compiled plans.
 
         Benchmark hook: re-timing *warm evaluation* (plans compiled, indexes
-        and statistics hot, results cold) requires emptying the result memo
-        between passes — otherwise a warm pass measures pure memo lookups.
+        hot, results cold) requires emptying the result memo between passes
+        — otherwise a warm pass measures pure memo lookups.
         """
         with self._lock:
             for memo in self._results.values():
@@ -383,9 +378,7 @@ class EngineSession:
                 from repro.obs.analyze import emit_operator_spans
 
                 if self._analyze_estimator is None:
-                    self._analyze_estimator = CardinalityEstimator(
-                        self.instance, self._stats
-                    )
+                    self._analyze_estimator = CardinalityEstimator(self.instance)
                 emit_operator_spans(
                     analyzer, self._analyze_estimator, est_cache=self._analyze_est
                 )
@@ -418,7 +411,7 @@ class EngineSession:
             begin = time.perf_counter()
             rows = executor.run(plan)
             total = time.perf_counter() - begin
-            estimator = CardinalityEstimator(self.instance, self._stats)
+            estimator = CardinalityEstimator(self.instance)
             return ExplainAnalysis.build(
                 analyzer, estimator, output_rows=len(rows), total_seconds=total
             )

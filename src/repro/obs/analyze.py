@@ -182,7 +182,7 @@ def _attach_estimates(
             record.est_rows = hit[1]
         else:
             try:
-                record.est_rows = float(estimator.plan_stats(record.plan).rows)
+                record.est_rows = estimator.estimate(record.plan)
             except TypeError:
                 record.est_rows = None
             if est_cache is not None:
@@ -287,7 +287,7 @@ def emit_operator_spans(
 
     ``est_cache`` memoizes estimates per plan-node *identity* across calls
     (the entry pins the node so its id cannot be recycled).  Plan nodes hash
-    structurally — an O(subtree) cost per ``plan_stats`` lookup that the hot
+    structurally — an O(subtree) cost per ``estimate`` lookup that the hot
     traced-grading path cannot afford on every request — so callers that
     cache physical plans (the engine session) pass a long-lived dict here.
     """

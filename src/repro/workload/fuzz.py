@@ -353,7 +353,7 @@ class QueryFuzzer:
         if self.join_heavy:
             # Join-heavy mode: deeper, mostly-join trees whose equi-join keys
             # follow declared foreign keys — the shape join-conjunct sinking,
-            # the semijoin pass and the columnar join path optimize.
+            # the build-side choice and the columnar join path optimize.
             # A separate branch so the default mode's random streams (and
             # therefore every historical seed) are untouched.
             generators = [
@@ -459,8 +459,8 @@ class QueryFuzzer:
 
         Each hop joins the chain's most recent relation to a neighbour in the
         schema's FK graph (either direction), on exactly the FK columns —
-        the join shape semijoin reduction looks for.  Hops get distinct
-        rename prefixes (``f{tag}r{i}``) so self-joins stay unambiguous, and
+        the join shape whose build side the optimizer picks.  Hops get
+        distinct rename prefixes (``f{tag}r{i}``) so self-joins stay unambiguous, and
         an occasional extra selective filter rides along.
         """
         if not self._foreign_keys:

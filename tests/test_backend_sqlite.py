@@ -28,8 +28,7 @@ from repro.engine.backends.sqlite import (
     compile_plan_to_sql,
     connect_instance,
 )
-from repro.engine.domains import SET_DOMAIN
-from repro.engine.logical import SemiJoinOp, compile_plan, plan_operators
+from repro.engine.logical import compile_plan
 from repro.engine.session import EngineSession
 from repro.errors import QueryEvaluationError
 from repro.datagen import (
@@ -416,10 +415,9 @@ class TestOracleLifecycle:
         with pytest.raises(BackendUnsupportedError):
             SqliteBackend(instance).rows(query)
 
-    def test_oracle_checks_semijoin_reduced_plans_without_running_them(self):
-        # The engine reduces an FK join with a semijoin; the oracle runs the
-        # pushdown-only plan, so it checks that rewrite from outside.  A
-        # reduced plan itself is refused rather than compiled.
+    def test_oracle_rows_match_the_session_on_an_fk_join(self):
+        # The session runs the build-side-optimized plan; the oracle runs the
+        # pushdown-only plan, so it checks that choice from outside.
         schema = DatabaseSchema.of(
             [
                 RelationSchema.of("Child", [("k", DataType.INT), ("v", DataType.INT)]),
@@ -436,10 +434,5 @@ class TestOracleLifecycle:
             "(\\select_{c.v > 10} \\rename_{prefix: c} Child) "
             "\\join_{c.k = p.k} (\\rename_{prefix: p} Parent)"
         )
-        session = EngineSession(instance)
-        reduced = session._plan(query, SET_DOMAIN)
-        assert any(isinstance(op, SemiJoinOp) for op in plan_operators(reduced))
-        expected = session.evaluate(query).rows
+        expected = EngineSession(instance).evaluate(query).rows
         assert expected and SqliteBackend(instance).rows(query) == expected
-        with pytest.raises(BackendUnsupportedError):
-            compile_plan_to_sql(reduced, instance.schema)

@@ -5,12 +5,13 @@ import pytest
 from repro.catalog.instance import DatabaseInstance
 from repro.datagen import toy_university_instance, university_schema
 from repro.engine import (
+    SET_DOMAIN,
+    CardinalityEstimator,
     EngineSession,
     JoinOp,
     ScanOp,
     choose_build_sides,
     compile_plan,
-    estimate_rows,
     plan_operators,
 )
 from repro.engine.reference import ReferenceEvaluator
@@ -213,7 +214,7 @@ class TestOptimizer:
             rename_prefix(relation("Student"), "s"),
             eq("r.name", "s.name"),
         )
-        plan = choose_build_sides(compile_plan(join, schema), instance)
+        plan = choose_build_sides(compile_plan(join, schema), CardinalityEstimator(instance))
         join_ops = [op for op in plan_operators(plan) if isinstance(op, JoinOp)]
         assert len(join_ops) == 1
         # Left input (Registration) is larger, so the hash table builds right.
@@ -224,18 +225,66 @@ class TestOptimizer:
             rename_prefix(relation("Registration"), "r"),
             eq("s.name", "r.name"),
         )
-        plan = choose_build_sides(compile_plan(flipped, schema), instance)
+        plan = choose_build_sides(compile_plan(flipped, schema), CardinalityEstimator(instance))
         join_ops = [op for op in plan_operators(plan) if isinstance(op, JoinOp)]
         assert join_ops[0].build_left
 
     def test_estimates_scale_with_relation_sizes(self, instance):
-        scan = compile_plan(relation("Registration"), instance.schema)
-        assert estimate_rows(scan, instance) == len(instance.relation("Registration"))
-        filtered = compile_plan(
-            select(relation("Registration"), equals_constant("dept", "CS")),
-            instance.schema,
+        def estimate(query):
+            return CardinalityEstimator(instance).estimate(compile_plan(query, instance.schema))
+
+        registrations = len(instance.relation("Registration"))
+        students = len(instance.relation("Student"))
+        assert students < registrations
+        assert estimate(relation("Registration")) == registrations
+        filtered = select(relation("Registration"), equals_constant("dept", "CS"))
+        assert estimate(filtered) < estimate(relation("Registration"))
+        # An equi-join is as large as its larger input, whichever side that is.
+        join = theta_join(
+            rename_prefix(relation("Student"), "s"),
+            rename_prefix(relation("Registration"), "r"),
+            eq("s.name", "r.name"),
         )
-        assert estimate_rows(filtered, instance) < estimate_rows(scan, instance)
+        assert estimate(join) == registrations
+        # A grouped aggregate keeps a quarter of its input; a global one, one row.
+        grouped = group_by(relation("Registration"), ["name"], [count(None, "n")])
+        assert estimate(grouped) == registrations * 0.25
+        assert estimate(group_by(relation("Registration"), [], [count(None, "n")])) == 1.0
+
+    def test_set_plans_compile_without_reading_rows(self, instance):
+        """Planning costs no pass over the data: estimates need relation sizes only."""
+
+        class CountingRows(dict):
+            reads = 0
+
+            def __iter__(self):
+                CountingRows.reads += 1
+                return super().__iter__()
+
+            def values(self):
+                CountingRows.reads += 1
+                return super().values()
+
+            def items(self):
+                CountingRows.reads += 1
+                return super().items()
+
+        for rel in instance.relations.values():
+            rel._rows = CountingRows(rel._rows)
+        join = theta_join(
+            rename_prefix(relation("Student"), "s"),
+            rename_prefix(relation("Registration"), "r"),
+            eq("s.name", "r.name"),
+        )
+        query = group_by(
+            select(join, equals_constant("r.dept", "CS")), ["s.name"], [count(None, "n")]
+        )
+        session = EngineSession(instance)
+        plan = session._plan(query, SET_DOMAIN)
+        assert any(isinstance(op, JoinOp) for op in plan_operators(plan))
+        assert CountingRows.reads == 0
+        assert session.evaluate(query).rows
+        assert CountingRows.reads > 0  # the counter does see execution
 
     def test_rename_compiles_away(self, instance):
         plain = compile_plan(relation("Student"), instance.schema)
@@ -432,53 +481,6 @@ class TestJoinReordering:
         rows = EngineSession(instance).evaluate(query).rows
         assert rows == _reference_rows(query, instance)
         assert rows  # non-degenerate: the join actually produces tuples
-
-
-class TestSemijoinReduction:
-    def _fk_instance(self):
-        from repro.catalog.constraints import ForeignKeyConstraint
-        from repro.catalog.schema import DatabaseSchema, RelationSchema
-        from repro.catalog.types import DataType
-
-        schema = DatabaseSchema.of(
-            [
-                RelationSchema.of("Child", [("k", DataType.INT), ("v", DataType.INT)]),
-                RelationSchema.of("Parent", [("k", DataType.INT)]),
-            ]
-        )
-        schema.add_constraint(ForeignKeyConstraint("Child", ("k",), "Parent", ("k",)))
-        instance = DatabaseInstance(schema)
-        for i in range(100):
-            instance.insert("Child", (i % 50, i))
-        for i in range(5):
-            instance.insert("Parent", (i,))
-        return instance
-
-    def test_fk_join_gains_a_semijoin_filter(self):
-        from repro.engine import SemiJoinOp, apply_semijoin_reduction
-        from repro.ra import gt
-        from repro.ra.predicates import col, lit
-
-        instance = self._fk_instance()
-        query = theta_join(
-            select(rename_prefix(relation("Child"), "c"), gt(col("c.v"), lit(10))),
-            rename_prefix(relation("Parent"), "p"),
-            eq("c.k", "p.k"),
-        )
-        plan = compile_plan(query, instance.schema)
-        reduced = apply_semijoin_reduction(plan, instance)
-        semis = [op for op in plan_operators(reduced) if isinstance(op, SemiJoinOp)]
-        assert len(semis) == 1
-        rows = EngineSession(instance).evaluate(query).rows
-        assert rows == _reference_rows(query, instance)
-        assert rows
-        # The semijoin only filters: provenance through it is unchanged.
-        from repro.engine.domains import PROVENANCE_DOMAIN
-        from repro.engine.physical import PlanExecutor
-
-        exact = PlanExecutor(instance, {}, PROVENANCE_DOMAIN, {}).run(plan)
-        reduced_rows = PlanExecutor(instance, {}, PROVENANCE_DOMAIN, {}).run(reduced)
-        assert list(reduced_rows.items()) == list(exact.items())
 
 
 class TestColumnarExecution:

@@ -165,11 +165,11 @@ def test_differential_fuzz_join_heavy(label, instance):
     """Optimized columnar plans stay bit-identical on deep FK join trees.
 
     The join-heavy generator feeds the exact shapes the optimizer rewrites
-    (join chains whose conjuncts sink, FK joins eligible for semijoin
-    reduction) through three evaluators: the optimized Python engine, the
-    SQLite oracle (pushdown-only plans, so it never sees those rewrites) and
-    the reference interpreter — plus a DSL re-parse and the
-    provenance comparison against the reference provenance interpreter.
+    (join chains whose conjuncts sink, FK joins whose build side it picks)
+    through three evaluators: the optimized Python engine, the SQLite oracle
+    (pushdown-only plans, so it never sees those rewrites) and the reference
+    interpreter — plus a DSL re-parse and the provenance comparison against
+    the reference provenance interpreter.
     """
     budget = _budget()
     fuzzer = QueryFuzzer(

@@ -167,16 +167,6 @@ class TestIndexMaintenance:
             fresh.setdefault((values[2],), []).append((t, values))
         assert index == fresh
 
-    def test_distinct_count_maintained_under_delete(self):
-        instance = toy_university_instance()
-        reg = instance.relation("Registration")
-        assert reg.distinct_count((2,)) == len({v[2] for v in reg._rows.values()})
-        # Delete every tuple of one department; the count must drop.
-        doomed = [t for t, v in reg.tuples() if v[2] == "CS"]
-        for tid in doomed:
-            reg.delete(tid)
-        assert reg.distinct_count((2,)) == len({v[2] for v in reg._rows.values()})
-
 
 class TestSessionDeltaMaintenance:
     QUERIES = (
