@@ -28,11 +28,13 @@ from repro.ra import (
     equals_constant,
     evaluate,
     group_by,
+    intersection,
     project,
     relation,
     rename_prefix,
     select,
     theta_join,
+    union,
 )
 
 
@@ -228,6 +230,43 @@ class TestOptimizer:
         plan = choose_build_sides(compile_plan(flipped, schema), CardinalityEstimator(instance))
         join_ops = [op for op in plan_operators(plan) if isinstance(op, JoinOp)]
         assert join_ops[0].build_left
+
+    def test_selective_filter_moves_the_build_side(self):
+        """The build side follows filtered estimates, not raw relation sizes."""
+        schema = university_schema()
+        instance = DatabaseInstance(schema)
+        for i in range(3):
+            instance.insert("Student", (f"s{i}", "CS"))
+        for i in range(50):
+            instance.insert("Registration", (f"s{i % 3}", f"c{i}", "CS", 90))
+        # Two equality conjuncts cut 50 rows to an estimated ~1, below Student's 3.
+        narrowed = select(
+            select(relation("Registration"), equals_constant("dept", "CS")),
+            equals_constant("course", "c1"),
+        )
+        join = theta_join(
+            rename_prefix(narrowed, "r"),
+            rename_prefix(relation("Student"), "s"),
+            eq("r.name", "s.name"),
+        )
+        plan = choose_build_sides(compile_plan(join, schema), CardinalityEstimator(instance))
+        join_ops = [op for op in plan_operators(plan) if isinstance(op, JoinOp)]
+        assert len(join_ops) == 1
+        assert join_ops[0].build_left
+
+    def test_set_operator_estimates(self, instance):
+        def estimate(query):
+            return CardinalityEstimator(instance).estimate(compile_plan(query, instance.schema))
+
+        cs = select(relation("Student"), equals_constant("major", "CS"))
+        students = estimate(relation("Student"))
+        assert estimate(cs) < students
+        # Union adds its inputs, difference is bounded by its left input,
+        # intersection by its smaller input.
+        assert estimate(union(relation("Student"), cs)) == students + estimate(cs)
+        assert estimate(difference(relation("Student"), cs)) == students
+        assert estimate(difference(cs, relation("Student"))) == estimate(cs)
+        assert estimate(intersection(relation("Student"), cs)) == estimate(cs)
 
     def test_estimates_scale_with_relation_sizes(self, instance):
         def estimate(query):
