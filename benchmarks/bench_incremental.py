@@ -1,4 +1,4 @@
-"""Micro-benchmark: delta-maintained re-grading vs. cold re-grading.
+"""Micro-benchmark: warm re-grading after an edit vs. cold re-grading.
 
 Models the instructor-edits-the-dataset loop on a 200-student course: the
 grading daemon has already screened the whole class's submissions (one warm
@@ -6,12 +6,9 @@ grading daemon has already screened the whole class's submissions (one warm
 one relation is edited — a grade correction.  Two ways to re-screen the full
 workload are timed:
 
-* ``delta`` — the *same* warm session: the mutation log is propagated
-  through the memoized subplan results (``repro.engine.delta``), so
-  untouched subtrees survive verbatim and touched ones are patched with
-  work proportional to the delta;
-* ``cold``  — a fresh ``EngineSession`` on the mutated instance, the
-  pre-delta behavior (wholesale invalidation on any version bump).
+* ``warm`` — the *same* session: memo entries whose plans scan the edited
+  relation were dropped, every other entry (and every plan) survives;
+* ``cold`` — a fresh ``EngineSession`` on the mutated instance.
 
 The workload is the realistic shape of a class: per question, the reference
 solution plus two dozen superficially-different submissions (extra join
@@ -19,8 +16,8 @@ hops, overly strict grade filters — the phrasings students actually produce)
 plus the handwritten wrong submissions from ``repro.workload.course``.  The
 timed screen is what a screening pass fundamentally is — the full row set of
 every submission compared against its reference — and both re-screens must
-be bit-identical, with the delta re-grade winning by at least 3x wall-clock.
-A separate untimed pass re-grades the wrong submissions *with* counterexample
+be bit-identical.  Both timings are printed; no speedup is gated.  A
+separate untimed pass re-grades the wrong submissions *with* counterexample
 explanations through the full service envelope and checks those are
 bit-identical too.
 
@@ -127,8 +124,8 @@ def run_benchmark(num_students: int = NUM_STUDENTS, seed: int = 0) -> dict:
     edited_tid = _single_tuple_edit(instance)
 
     start = time.perf_counter()
-    delta_grades = _screen_all(warm, pairs)
-    delta_s = time.perf_counter() - start
+    warm_grades = _screen_all(warm, pairs)
+    warm_s = time.perf_counter() - start
 
     cold = EngineSession(instance)
     start = time.perf_counter()
@@ -148,16 +145,13 @@ def run_benchmark(num_students: int = NUM_STUDENTS, seed: int = 0) -> dict:
         "total_tuples": instance.total_size(),
         "submissions": len(pairs),
         "edited_tid": edited_tid,
-        "delta_regrade_s": delta_s,
+        "warm_regrade_s": warm_s,
         "cold_regrade_s": cold_s,
-        "speedup": cold_s / delta_s,
-        "bit_identical": delta_grades == cold_grades,
+        "speedup": cold_s / warm_s,
+        "bit_identical": warm_grades == cold_grades,
         "explain_bit_identical": explain_identical,
         "delta_maintained": stats["delta_maintained"],
-        "delta_patched": stats["delta_patched"],
         "delta_dropped": stats["delta_dropped"],
-        "delta_fallback": stats["delta_fallback"],
-        "invalidations": stats["invalidations"],
         **_clause_reuse(instance),
     }
 
@@ -217,12 +211,9 @@ def test_incremental_regrade_beats_cold(benchmark=None):
         benchmark.extra_info["result"] = result
     else:  # plain pytest without pytest-benchmark
         result = run_benchmark()
-    assert result["bit_identical"], "delta re-grade diverged from cold re-grade"
+    assert result["bit_identical"], "warm re-grade diverged from cold re-grade"
     assert result["explain_bit_identical"], "explanations diverged after the edit"
-    assert result["speedup"] >= 3.0, result
-    assert result["delta_maintained"] + result["delta_patched"] > 0, result
-    assert result["delta_fallback"] == 0, result
-    assert result["invalidations"] == 0, result
+    assert result["delta_maintained"] > 0, result
     assert result["reuse_identical"], result
     assert result["clause_cache_hits"] >= REUSE_ROUNDS, result
     assert result["reuse_speedup"] > 1.0, result
@@ -234,12 +225,11 @@ def main() -> None:
           f"({result['total_tuples']} tuples), {result['submissions']} submissions, "
           f"single-tuple edit {result['edited_tid']}")
     print(f"  cold re-grade  : {result['cold_regrade_s']:8.3f} s")
-    print(f"  delta re-grade : {result['delta_regrade_s']:8.3f} s   "
+    print(f"  warm re-grade  : {result['warm_regrade_s']:8.3f} s   "
           f"({result['speedup']:.2f}x, bit-identical={result['bit_identical']}, "
           f"explain-identical={result['explain_bit_identical']})")
     print(f"  memo counters  : maintained={result['delta_maintained']} "
-          f"patched={result['delta_patched']} dropped={result['delta_dropped']} "
-          f"fallback={result['delta_fallback']}")
+          f"dropped={result['delta_dropped']}")
     print(f"clause reuse, {result['reuse_rounds']} renamed-duplicate explanations")
     print(f"  from scratch   : {result['scratch_solve_s']:8.3f} s")
     print(f"  warm clauses   : {result['reuse_solve_s']:8.3f} s   "

@@ -36,8 +36,9 @@ class DatasetHandle:
 
     Handles are cached per ``(spec, seed)`` and shared across submissions
     and worker threads, so every grade against one dataset sees one instance
-    and one session.  Edit the instance only through its logged mutation API
-    (the session absorbs those edits differentially for every user).
+    and one session.  Edit the instance only through its mutation API, which
+    bumps relation versions (the session then drops the memo entries over the
+    edited relations, for every user).
     """
 
     spec: str

@@ -407,10 +407,11 @@ class GradingService:
             {"op": "update", "tid": tid, "values": [...]}
 
         Mutations go through :class:`~repro.catalog.instance.DatabaseInstance`'s
-        logged mutation API, so the dataset's warm engine session absorbs them
-        differentially (``apply_delta``) instead of dropping its caches.
-        Returns the applied-operation count, the instance's new data version,
-        and the session's delta-maintenance counter increments.  Operations
+        mutation API, which bumps each edited relation's version.  The
+        dataset's warm engine session then drops the memo entries that scan
+        an edited relation and keeps the rest (``apply_delta``).  Returns the
+        applied-operation count, the instance's new data version, and the
+        session's ``delta_maintained``/``delta_dropped`` increments.  Operations
         are validated and applied one by one; the first bad operation raises
         with nothing further applied (earlier operations stay applied — the
         caller sees ``data_version`` and can reconcile).
@@ -432,7 +433,7 @@ class GradingService:
             op = operation.get("op")
             try:
                 if op == "insert":
-                    instance.insert_row(
+                    instance.insert(
                         str(operation["relation"]),
                         tuple(operation["values"]),
                         tid=operation.get("tid"),

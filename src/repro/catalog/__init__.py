@@ -8,7 +8,6 @@ from repro.catalog.constraints import (
     NotNullConstraint,
     close_under_foreign_keys,
 )
-from repro.catalog.delta import Delta, RelationDelta
 from repro.catalog.instance import DatabaseInstance, Relation, ResultSet, split_tid
 from repro.catalog.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.catalog.types import DataType, coerce, infer_type
@@ -19,13 +18,11 @@ __all__ = [
     "DataType",
     "DatabaseInstance",
     "DatabaseSchema",
-    "Delta",
     "ForeignKeyConstraint",
     "FunctionalDependency",
     "KeyConstraint",
     "NotNullConstraint",
     "Relation",
-    "RelationDelta",
     "RelationSchema",
     "ResultSet",
     "close_under_foreign_keys",

@@ -10,21 +10,14 @@ under set semantics and carry no identifiers.
 from __future__ import annotations
 
 from bisect import bisect
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.catalog.delta import Delta, LogEntry, RelationDelta
 from repro.catalog.schema import DatabaseSchema, RelationSchema
 from repro.catalog.types import coerce
 from repro.errors import SchemaError, UnknownRelationError
 
 Values = tuple[Any, ...]
-
-#: How many mutations a relation remembers for delta reconciliation.  A warm
-#: session that falls further behind than this gets a clean gap signal
-#: (``changes_since`` returns None) and falls back to cold evaluation.
-MUTATION_LOG_CAPACITY = 1024
 
 
 def split_tid(tid: str) -> tuple[str, str]:
@@ -52,7 +45,6 @@ class Relation:
         self._next_id = 1
         self._version = 0
         self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple[str, Values]]]] = {}
-        self._log: deque[LogEntry] = deque(maxlen=MUTATION_LOG_CAPACITY)
         # Insertion rank of every tid, built only when an update moves a
         # tuple between index buckets, and maintained from then on.
         self._ranks: dict[str, int] | None = None
@@ -90,7 +82,6 @@ class Relation:
                 self._next_id = max(self._next_id, int(suffix) + 1)
         self._rows[tid] = coerced
         self._version += 1
-        self._log.append((self._version, "+", tid, None, coerced))
         if self._ranks is not None:
             self._ranks[tid] = self._next_rank
             self._next_rank += 1
@@ -114,7 +105,6 @@ class Relation:
                 f"tuple {tid!r} is not in relation {self.schema.name!r}"
             ) from None
         self._version += 1
-        self._log.append((self._version, "-", tid, values, None))
         if self._ranks is not None:
             del self._ranks[tid]
         self._index_remove(tid, values)
@@ -124,7 +114,7 @@ class Relation:
         """Replace a tuple's values in place, returning ``(old, new)``.
 
         The tuple keeps its identifier and its position in insertion order.
-        Updating to identical values is a no-op: no version bump, no delta.
+        Updating to identical values is a no-op: no version bump.
         """
         if tid not in self._rows:
             raise KeyError(f"tuple {tid!r} is not in relation {self.schema.name!r}")
@@ -142,33 +132,8 @@ class Relation:
             return old, coerced
         self._rows[tid] = coerced
         self._version += 1
-        self._log.append((self._version, "~", tid, old, coerced))
         self._index_replace(tid, old, coerced)
         return old, coerced
-
-    def changes_since(self, version: int) -> list[LogEntry] | None:
-        """Ordered log entries after ``version``, or None on a coverage gap.
-
-        Returns ``[]`` when the caller is already current.  Returns None when
-        the log no longer reaches back to ``version`` (evicted entries, a
-        derived copy with an empty log, or a ``version`` from the future) —
-        callers must then fall back to cold re-evaluation.
-        """
-        if version == self._version:
-            return []
-        if version > self._version:
-            return None
-        entries = [entry for entry in self._log if entry[0] > version]
-        if not entries or entries[0][0] != version + 1:
-            return None
-        return entries
-
-    def delta_since(self, version: int) -> RelationDelta | None:
-        """Net :class:`RelationDelta` after ``version``, or None on a gap."""
-        entries = self.changes_since(version)
-        if entries is None:
-            return None
-        return RelationDelta.from_log(self.schema.name, entries)
 
     # -- cache maintenance -------------------------------------------------
 
@@ -269,12 +234,9 @@ class Relation:
     def subset(self, tids: Iterable[str]) -> "Relation":
         """A new relation containing only the given tuples (same tids).
 
-        The derived relation inherits the parent's mutation counter (so a
-        copy never re-issues version numbers the original already used, which
-        would alias version-keyed caches) but starts with an *empty* mutation
-        log: ``changes_since`` on a fresh copy reports a gap for any older
-        version, forcing one cold evaluation instead of replaying the
-        parent's history against different contents.
+        The derived relation inherits the parent's mutation counter, so a
+        copy never re-issues version numbers the original already used,
+        which would alias version-keyed caches.
         """
         sub = Relation(self.schema)
         for tid in tids:
@@ -338,49 +300,21 @@ class DatabaseInstance:
 
         return instance_to_dict(self)
 
-    def insert(self, relation_name: str, values: Sequence[Any], *, tid: str | None = None) -> str:
-        return self.relation(relation_name).insert(values, tid=tid)
-
     # -- mutation ----------------------------------------------------------
 
-    def insert_row(
-        self, relation_name: str, values: Sequence[Any], *, tid: str | None = None
-    ) -> Delta:
-        """Insert a tuple and return the resulting typed :class:`Delta`."""
-        relation = self.relation(relation_name)
-        new_tid = relation.insert(values, tid=tid)
-        return Delta(
-            (
-                RelationDelta(
-                    relation_name, inserted=((new_tid, relation.row(new_tid)),)
-                ),
-            )
-        )
+    def insert(self, relation_name: str, values: Sequence[Any], *, tid: str | None = None) -> str:
+        """Insert a tuple into ``relation_name``, returning its identifier."""
+        return self.relation(relation_name).insert(values, tid=tid)
 
-    def delete(self, tid: str) -> Delta:
-        """Delete the tuple named by ``tid`` and return the typed delta."""
+    def delete(self, tid: str) -> Values:
+        """Delete the tuple named by ``tid``, returning its values."""
         relation_name, _ = split_tid(tid)
-        values = self.relation(relation_name).delete(tid)
-        return Delta((RelationDelta(relation_name, deleted=((tid, values),)),))
+        return self.relation(relation_name).delete(tid)
 
-    def update(self, tid: str, values: Sequence[Any]) -> Delta:
-        """Update the tuple named by ``tid`` and return the typed delta.
-
-        An update that leaves the values unchanged yields an empty delta.
-        """
+    def update(self, tid: str, values: Sequence[Any]) -> tuple[Values, Values]:
+        """Update the tuple named by ``tid``, returning ``(old, new)``."""
         relation_name, _ = split_tid(tid)
-        old, new = self.relation(relation_name).update(tid, values)
-        if old == new:
-            return Delta(())
-        return Delta(
-            (
-                RelationDelta(
-                    relation_name,
-                    inserted=((tid, new),),
-                    deleted=((tid, old),),
-                ),
-            )
-        )
+        return self.relation(relation_name).update(tid, values)
 
     # -- access ------------------------------------------------------------
 

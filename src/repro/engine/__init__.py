@@ -21,7 +21,7 @@ session that checks many submissions against one instance.
 """
 
 from repro.engine.backends import BackendUnsupportedError, SqliteBackend
-from repro.engine.columnar import ColumnBatch, as_mapping
+from repro.engine.columnar import ColumnBatch
 from repro.engine.domains import (
     PROVENANCE_DOMAIN,
     SET_DOMAIN,
@@ -78,7 +78,6 @@ __all__ = [
     "StructuralKey",
     "UnionOp",
     "apply_aggregate",
-    "as_mapping",
     "choose_build_sides",
     "compile_plan",
     "compile_predicate",

@@ -107,13 +107,6 @@ class ColumnBatch:
         return self._mapping
 
 
-def as_mapping(result: "dict[Values, Any] | ColumnBatch") -> "dict[Values, Any]":
-    """Normalize an executor/memo result to the annotated-dict representation."""
-    if isinstance(result, dict):
-        return result
-    return result.to_mapping()
-
-
 def _folded_batch(folded: "dict[Values, Any]") -> ColumnBatch:
     return ColumnBatch(list(folded), list(folded.values()))
 
@@ -133,23 +126,14 @@ def _tuple_pairs(entries, domain: AnnotationDomain):
     return ((values, domain.of_tuple(tid)) for tid, values in entries)
 
 
-def index_table(
-    relation: Relation,
-    key: tuple[int, ...],
-    domain: AnnotationDomain,
-    wanted: "Iterable[tuple] | None" = None,
-) -> dict:
+def index_table(relation: Relation, key: tuple[int, ...], domain: AnnotationDomain) -> dict:
     """Build-side table served from a relation's maintained hash index.
 
-    Maps each join key (only those in ``wanted`` when given) to the distinct
-    rows carrying it in first-seen order — bare rows under the Set domain,
-    ``(row, annotation)`` pairs with duplicate rows plus-folded otherwise.
+    Maps each join key to the distinct rows carrying it in first-seen order —
+    bare rows under the Set domain, ``(row, annotation)`` pairs with
+    duplicate rows plus-folded otherwise.
     """
-    index = relation.hash_index(key)
-    if wanted is None:
-        items: Iterable = index.items()
-    else:
-        items = ((k, index[k]) for k in wanted if k in index)
+    items = relation.hash_index(key).items()
     if domain is SET_DOMAIN:
         return {k: list(dict.fromkeys(values for _, values in entries)) for k, entries in items}
     return {

@@ -71,7 +71,7 @@ def _cached_hash(cls):
     """Memoize the dataclass-generated structural hash on the instance.
 
     Plan trees are dict keys everywhere — the result memo, the scan-set and
-    plan-size caches, delta bookkeeping — and the generated hash walks the
+    parameter-reference caches — and the generated hash walks the
     whole subtree on every probe.  Nodes are frozen, so the hash is computed
     once and stashed; deep equality is untouched.
     """

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, MutableMapping, Sequence
+from typing import Any, Callable, Mapping, MutableMapping, Sequence
 
 from repro.catalog.instance import DatabaseInstance, Values
 from repro.catalog.schema import RelationSchema
@@ -165,9 +165,11 @@ def _order_independent_sum(values: Sequence[Any]) -> Any:
     """Sum that does not depend on input order, even for floats.
 
     ``math.fsum`` is correctly rounded, so any permutation of the inputs
-    yields the same bits — a requirement for differential re-evaluation,
-    where patched groups see their members in a different order than a cold
-    run.  Integer-only inputs keep the exact int result.
+    yields the same bits.  A group's members arrive in an order set by the
+    plan: the build sides a session picked (a warm session keeps the plan it
+    compiled before an edit, a cold one re-estimates), the plan flavour, or
+    an oracle's own iteration order.  The grade must not depend on any of
+    them.  Integer-only inputs keep the exact int result.
     """
     if any(isinstance(v, float) for v in values):
         return math.fsum(values)
@@ -191,48 +193,6 @@ def apply_aggregate(func: AggregateFunction, values: Sequence[Any]) -> Any:
     raise QueryEvaluationError(f"unsupported aggregate function {func}")  # pragma: no cover
 
 
-def aggregate_groups(
-    plan: AggregateOp,
-    pairs: "Iterable[tuple[Values, Any]]",
-    domain: AnnotationDomain,
-    out: "dict[Values, Any]",
-    only: "set[tuple] | None" = None,
-) -> "dict[Values, Any]":
-    """Group annotated rows by ``plan``'s key and add one output row per group.
-
-    The group's annotation is the plus-fold of its members' in input order;
-    ``only`` restricts the work to those group keys (the delta maintainer's
-    touched groups).  Returns ``out``.
-    """
-    extract = key_function(plan.group_indexes)
-    groups: dict[tuple, list[Values]] = {}
-    annotations: dict[tuple, Any] = {}
-    for row, annotation in pairs:
-        key = extract(row)
-        if only is not None and key not in only:
-            continue
-        members = groups.get(key)
-        if members is None:
-            groups[key] = [row]
-            annotations[key] = annotation
-        else:
-            members.append(row)
-            annotations[key] = domain.plus(annotations[key], annotation)
-    for key, members in groups.items():
-        computed = []
-        for spec, index in plan.aggregates:
-            if index < 0:
-                computed.append(len(members))
-            else:
-                values = [row[index] for row in members if row[index] is not None]
-                computed.append(apply_aggregate(spec.func, values))
-        output_row = key + tuple(computed)
-        existing = out.get(output_row)
-        annotation = annotations[key]
-        out[output_row] = annotation if existing is None else domain.plus(existing, annotation)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Executor
 # ---------------------------------------------------------------------------
@@ -246,8 +206,8 @@ def referenced_params(
 ) -> frozenset:
     """Names of the query parameters a subplan's predicates read.
 
-    Shared by the executor's memo keys and the delta maintainer so both
-    derive identical cache keys for one plan.
+    Memoised in ``cache`` (the session's ``param_refs``), so every
+    executor derives identical memo keys for one plan.
     """
     cached = cache.get(plan)
     if cached is None:
@@ -428,7 +388,31 @@ class PlanExecutor:
         return out
 
     def _aggregate(self, plan: AggregateOp) -> "dict[Values, Any]":
+        """One output row per group; its annotation is the plus-fold of its
+        members' in input order."""
         domain = self.domain
         if not domain.supports_aggregation:
             raise NotApplicableError(AGGREGATION_NOT_SUPPORTED)
-        return aggregate_groups(plan, self.run(plan.child).items(), domain, {})
+        extract = key_function(plan.group_indexes)
+        groups: dict[tuple, list[Values]] = {}
+        annotations: dict[tuple, Any] = {}
+        for row, annotation in self.run(plan.child).items():
+            key = extract(row)
+            members = groups.get(key)
+            if members is None:
+                groups[key] = [row]
+                annotations[key] = annotation
+            else:
+                members.append(row)
+                annotations[key] = domain.plus(annotations[key], annotation)
+        out: dict[Values, Any] = {}
+        for key, members in groups.items():
+            computed = []
+            for spec, index in plan.aggregates:
+                if index < 0:
+                    computed.append(len(members))
+                else:
+                    values = [row[index] for row in members if row[index] is not None]
+                    computed.append(apply_aggregate(spec.func, values))
+            out[key + tuple(computed)] = annotations[key]
+        return out

@@ -14,13 +14,12 @@ and memoises two levels of work:
   sides of a ``Difference``, a reference query re-evaluated per submission,
   scans shared by all queries over the instance).
 
-Caches survive instance mutations *incrementally*: when the bound instance's
-per-relation versions advance, the session pulls each relation's mutation log,
-keeps every memo entry whose subplan scans only untouched relations, and
-differentially patches set-domain entries over touched relations (see
-:mod:`repro.engine.delta`).  Only when a relation's log has been evicted (or a
-relation appeared/disappeared) does the session fall back to the historical
-wholesale invalidation.
+Caches survive instance mutations *selectively*: when a relation's version
+moves (or a relation appears or disappears), the session drops every memo
+entry whose plan scans that relation, in every domain, and keeps every other
+entry as it is.  The next request over a dropped subplan recomputes it from
+the base data, exactly as a cold session would.  Plans are data-independent
+and survive every edit.
 
 Each plan comes in one of two flavours, picked by the executing domain; both
 run on the same operators (columnar batches, annotated under every domain
@@ -52,7 +51,6 @@ import threading
 import time
 from typing import Any, Iterable, Mapping
 
-from repro.catalog.delta import Delta, RelationDelta
 from repro.catalog.instance import DatabaseInstance, ResultSet, Values
 from repro.catalog.schema import RelationSchema
 from repro.engine.domains import (
@@ -60,8 +58,7 @@ from repro.engine.domains import (
     SET_DOMAIN,
     AnnotationDomain,
 )
-from repro.engine.delta import DeltaMaintainer, plan_scan_relations
-from repro.engine.logical import PlanNode, compile_plan
+from repro.engine.logical import PlanNode, ScanOp, compile_plan, plan_operators
 from repro.engine.optimizer import (
     CardinalityEstimator,
     choose_build_sides,
@@ -76,6 +73,16 @@ from repro.ra.ast import RAExpression
 from repro.solver.clausecache import ClauseCache
 
 ParamValues = Mapping[str, Any]
+
+
+def plan_scan_relations(plan: PlanNode, cache: "dict[PlanNode, frozenset]") -> frozenset:
+    """Names of the base relations ``plan`` reads, memoised in ``cache``."""
+    names = cache.get(plan)
+    if names is None:
+        names = cache[plan] = frozenset(
+            node.relation for node in plan_operators(plan) if isinstance(node, ScanOp)
+        )
+    return names
 
 
 class EngineSession:
@@ -102,8 +109,8 @@ class EngineSession:
         self._rel_versions: dict[str, int] = {
             name: rel.version for name, rel in instance.relations.items()
         }
-        # Memoised scan sets (which relations a plan node reads) shared with
-        # the delta maintainer; lives and dies with ``_plans``.
+        # Memoised scan sets (which relations a plan node reads); lives and
+        # dies with ``_plans``.
         self._scan_sets: dict[PlanNode, frozenset] = {}
         #: Warm-start clause sets for the min-ones solver, keyed by provenance
         #: CNF structure (renamed duplicate submissions hash equal because
@@ -113,11 +120,8 @@ class EngineSession:
         self.stats = {
             "plan_hits": 0,
             "plan_misses": 0,
-            "invalidations": 0,
             "delta_maintained": 0,
-            "delta_patched": 0,
             "delta_dropped": 0,
-            "delta_fallback": 0,
         }
 
     # -- cache management ----------------------------------------------------
@@ -152,102 +156,43 @@ class EngineSession:
             self._analyze_meta.clear()
 
     def _reconcile_versions(self) -> None:
-        """Bring the caches up to date with the bound instance's relations.
+        """Drop every memo entry whose plan scans a touched relation.
 
-        Per relation whose version advanced, ask its bounded mutation log for
-        the net delta since the version the caches reflect.  If every touched
-        relation can produce one, the set-domain memo is *maintained*
-        differentially and untouched entries survive verbatim; if any log has
-        been evicted past the needed suffix (or the relation set itself
-        changed), everything is dropped wholesale — the historical behaviour.
+        A relation is touched when its version moved since the caches last
+        looked, or when it appeared or disappeared.  Every other entry is
+        kept as it is, in every domain.  Plans, structural keys and
+        parameter-reference maps are data-independent and survive (a stale
+        build side is a performance matter, not a correctness one); the
+        EXPLAIN ANALYZE estimator reads row counts, so it is reset.
         """
         current = {name: rel.version for name, rel in self.instance.relations.items()}
-        if current == self._rel_versions:
+        known = self._rel_versions
+        if current == known:
             return
-        if current.keys() != self._rel_versions.keys():
-            self._invalidate_all(current)
-            return
-        changed: list[RelationDelta] = []
-        for name, version in current.items():
-            known = self._rel_versions[name]
-            if version == known:
-                continue
-            delta = self.instance.relations[name].delta_since(known)
-            if delta is None:  # log evicted or version went backwards
-                self._invalidate_all(current)
-                return
-            if not delta.is_empty():
-                changed.append(delta)
-        self._maintain(Delta(tuple(changed)), current)
-
-    def _invalidate_all(self, current: "dict[str, int]") -> None:
-        """Wholesale cache drop (the pre-delta invalidation path)."""
-        dropped = sum(len(memo) for memo in self._results.values())
-        self._plans.clear()
-        self._schemas.clear()
-        for memo in self._results.values():  # keep cumulative counters
-            memo.clear()
-        self._param_refs.clear()
-        self._keys.clear()
-        self._scan_sets.clear()
+        touched = {
+            name
+            for name in current.keys() | known.keys()
+            if current.get(name) != known.get(name)
+        }
+        self._rel_versions = current
         self._analyze_estimator = None
         self._analyze_est.clear()
-        self._analyze_meta.clear()
-        self._rel_versions = dict(current)
-        self.stats["invalidations"] += 1
-        self.stats["delta_fallback"] += 1
-        self.stats["delta_dropped"] += dropped
+        for memo in self._results.values():
+            for key in list(memo.keys()):
+                if touched.isdisjoint(plan_scan_relations(key[0], self._scan_sets)):
+                    self.stats["delta_maintained"] += 1
+                else:
+                    del memo[key]
+                    self.stats["delta_dropped"] += 1
 
-    def _maintain(self, delta: Delta, current: "dict[str, int]") -> None:
-        """Differentially patch the result memos for ``delta``.
-
-        Plans, structural keys, and parameter-reference maps are all
-        data-independent, so they survive untouched (a stale build side is a
-        performance matter, not a correctness one).  The cardinality
-        estimator's row counts *are* data-dependent, so EXPLAIN ANALYZE state
-        is reset.  Set-domain entries over touched relations are patched (or
-        dropped, forcing one cold re-evaluation) by
-        :class:`~repro.engine.delta.DeltaMaintainer`; order-sensitive domains
-        such as provenance are dropped per touched entry, since annotation
-        structure depends on insertion order the delta path cannot reproduce.
-        """
-        self._rel_versions = dict(current)
-        touched = delta.relations
-        if not touched:
-            return
-        self._analyze_estimator = None
-        self._analyze_est.clear()
-        for domain_name, memo in self._results.items():
-            if domain_name == SET_DOMAIN.name:
-                maintainer = DeltaMaintainer(
-                    self.instance, memo, self._param_refs, scan_cache=self._scan_sets
-                )
-                counts = maintainer.apply(delta)
-                self.stats["delta_maintained"] += counts["maintained"]
-                self.stats["delta_patched"] += counts["patched"]
-                self.stats["delta_dropped"] += counts["dropped"]
-            else:
-                for key in list(memo.keys()):
-                    plan = key[0]
-                    scans = plan_scan_relations(plan, self._scan_sets)
-                    if scans & touched:
-                        del memo[key]
-                        self.stats["delta_dropped"] += 1
-                    else:
-                        self.stats["delta_maintained"] += 1
-
-    def apply_delta(self, delta: Delta | None = None) -> dict[str, int]:
+    def apply_delta(self) -> dict[str, int]:
         """Reconcile the caches with the instance now; return what happened.
 
-        The per-relation mutation logs are authoritative — ``delta`` is
-        advisory (callers that already hold the :class:`Delta` returned by
-        ``DatabaseInstance.insert_row``/``delete``/``update`` may pass it for
-        documentation, but the session re-derives the net change from the
-        logs so missed intermediate mutations can never be skipped).  Returns
-        the increments of the four ``delta_*`` counters caused by this call.
+        Returns the increments of ``delta_maintained`` (entries kept) and
+        ``delta_dropped`` (entries over touched relations) caused by this
+        call.
         """
-        del delta  # logs are authoritative; see docstring
-        keys = ("delta_maintained", "delta_patched", "delta_dropped", "delta_fallback")
+        keys = ("delta_maintained", "delta_dropped")
         with self._lock:
             before = {k: self.stats[k] for k in keys}
             self._check_version()

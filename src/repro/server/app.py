@@ -334,22 +334,10 @@ class GradingServer:
                 "verbatim (their plans scan only untouched relations), by worker.",
             ),
             (
-                "delta_patched",
-                "repro_engine_delta_patched_total",
-                "Cached subplan results differentially patched in place after "
-                "an instance mutation, by worker.",
-            ),
-            (
                 "delta_dropped",
                 "repro_engine_delta_dropped_total",
-                "Cached subplan results dropped on mutation (unmaintainable "
-                "operator, order-sensitive domain, or wholesale fallback), by worker.",
-            ),
-            (
-                "delta_fallback",
-                "repro_engine_delta_fallback_total",
-                "Mutations absorbed by wholesale cache invalidation because a "
-                "relation's bounded mutation log no longer covered the gap, by worker.",
+                "Cached subplan results dropped on mutation because their plans "
+                "scan an edited relation, by worker.",
             ),
             (
                 "solver_clause_reuse",
@@ -593,8 +581,9 @@ class GradingServer:
 
         The edits are broadcast through each worker's pipe, so every
         worker's copy of the dataset absorbs them in its own request order
-        and the warm engine sessions maintain their caches differentially
-        (the reply carries each worker's ``delta`` counter increments).
+        and each warm engine session drops the memo entries over the edited
+        relations (the reply carries each worker's ``delta`` counter
+        increments).
         Stored grades for the dataset are purged regardless of per-worker
         success — after any mutation attempt they are potentially stale.
         """

@@ -209,7 +209,8 @@ class GradingClient:
         ``payload`` is ``{"dataset": spec?, "operations": [...]}`` in the
         format of :meth:`repro.api.service.GradingService.mutate`.  Stored
         grades for the dataset are purged server-side; the reply carries each
-        worker's delta-maintenance counter increments.
+        worker's ``delta_maintained``/``delta_dropped`` memo counter
+        increments.
         """
         return self._request("POST", "/v1/datasets/mutate", dict(payload))
 

@@ -168,7 +168,8 @@ def _worker_main(worker_id: int, config: WorkerConfig, conn: Any, edits: tuple) 
             elif kind == "mutate":
                 # Dataset edits broadcast to every worker (each process owns
                 # its own registry and instances), so all copies of a dataset
-                # mutate identically and warm sessions stay delta-maintained.
+                # mutate identically and each warm session drops only the
+                # memo entries over the edited relations.
                 try:
                     reply = {"worker": worker_id, **service.mutate(payload)}
                 except ReproError as exc:

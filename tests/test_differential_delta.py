@@ -1,30 +1,33 @@
-"""Differential fuzzing of delta maintenance: warm sessions vs. cold truth.
+"""Differential fuzzing of warm sessions across edits vs. cold truth.
 
-The delta-aware :class:`~repro.engine.session.EngineSession` keeps memoized
-subplan results alive across instance mutations by patching them with
-propagated deltas (``repro.engine.delta``) instead of discarding everything.
-That optimization is only sound if a warm, repeatedly-patched session is
-*bit-identical* to a session built from scratch on the mutated data — which
-is exactly what this suite checks, under seeded random edit streams.
+A warm :class:`~repro.engine.session.EngineSession` keeps every memoized
+subplan result whose plan scans no edited relation, and drops the rest.
+That is only sound if a warm, repeatedly-edited session is *bit-identical*
+to a session built from scratch on the mutated data — which is exactly what
+this suite checks, under seeded random edit streams.
 
 Each trial: build an instance, warm one session on a pool of fuzzer-generated
 queries, then loop rounds of random single-tuple edits (insert / delete /
 update, schema-typed values).  After every round each pool query is evaluated
-three ways — the warm session (delta-maintained), a fresh cold session, and
-the pre-engine reference interpreter — and all row sets must agree exactly.
-On failure the assertion message is a reproduction one-liner: the trial seed,
-the round number, the edit log of that round, and the query's DSL text.
+three ways — the warm session, a fresh cold session, and the pre-engine
+reference interpreter — and all row sets must agree exactly.  On failure the
+assertion message is a reproduction one-liner: the trial seed, the round
+number, the edit log of that round, and the query's DSL text.  Edits draw
+rows in tid order, so the trial seed alone fixes the edit stream, whatever
+``PYTHONHASHSEED`` is.
 
 ``REPRO_FUZZ_BUDGET`` scales the trial count (default 6 trials x 5 rounds);
-the suite also asserts the warm session really maintained caches (non-zero
-patch counters, no log-gap fallbacks) so the test cannot silently degrade
-into cold-vs-cold.
+the suite also asserts that edits really dropped warm entries, so the test
+cannot silently degrade into cold-vs-cold.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -34,6 +37,7 @@ from repro.catalog.types import DataType
 from repro.datagen import toy_beers_instance, toy_university_instance
 from repro.engine.reference import ReferenceEvaluator
 from repro.engine.session import EngineSession
+from repro.errors import NotApplicableError
 from repro.workload.fuzz import QueryFuzzer, perturb_instance
 
 pytestmark = pytest.mark.fuzz
@@ -59,9 +63,10 @@ def _fresh_value(rng: random.Random, dtype: DataType) -> Any:
 
 
 def _random_values(rng: random.Random, instance: DatabaseInstance, name: str) -> tuple:
-    """A schema-typed row: each column drawn from live values or freshly made."""
+    """A schema-typed row: each column drawn from live rows (in tid order)
+    or freshly made."""
     relation = instance.relation(name)
-    rows = list(relation.value_set())
+    rows = [values for _, values in relation.tuples()]
     values = []
     for position, attribute in enumerate(relation.schema.attributes):
         if rows and rng.random() < 0.7:
@@ -113,13 +118,13 @@ def _run_trial(instance: DatabaseInstance, trial_seed: int) -> dict:
                 )
             )
             assert patched == scratch == reference, (
-                f"delta maintenance diverged — reproduce with: "
+                f"warm session diverged — reproduce with: "
                 f"trial_seed={trial_seed} round={round_number} "
                 f"{fuzz_query.repro()}\n"
                 f"  edits this round: {edits}\n"
-                f"  warm (patched): {len(patched)} rows\n"
-                f"  cold:           {len(scratch)} rows\n"
-                f"  reference:      {len(reference)} rows"
+                f"  warm:      {len(patched)} rows\n"
+                f"  cold:      {len(scratch)} rows\n"
+                f"  reference: {len(reference)} rows"
             )
     return warm.stats
 
@@ -132,51 +137,84 @@ def test_differential_delta_fuzz(label):
         "beers": (toy_beers_instance, 53),
     }
     builder, salt = builders[label]
-    maintained = fallbacks = 0
+    dropped = 0
     for trial in range(_trials()):
         seed = 1000 * trial + salt
         instance = perturb_instance(builder(), seed=seed)
         stats = _run_trial(instance, trial_seed=seed)
-        maintained += stats["delta_maintained"] + stats["delta_patched"]
-        fallbacks += stats["delta_fallback"]
-    # The trials must actually exercise delta maintenance, not degenerate
-    # into wholesale invalidation (which would make warm == cold trivially).
-    assert maintained > 0
-    assert fallbacks == 0
+        dropped += stats["delta_dropped"]
+    # The edits must actually reach warm entries; otherwise the warm session
+    # never recomputes anything and the trials compare nothing an edit moved.
+    assert dropped > 0
+
+
+
+@pytest.mark.parametrize("label", ["university", "beers"])
+def test_provenance_survives_edit_streams(label):
+    """Warm provenance entries (kept or recomputed) match a cold session's,
+    annotation for annotation, after every round of random edits."""
+    builder = {"university": toy_university_instance, "beers": toy_beers_instance}[label]
+    seed = 71
+    instance = perturb_instance(builder(), seed=seed)
+    rng = random.Random(seed)
+    fuzzer = QueryFuzzer(instance.schema, instance=instance)
+    warm = EngineSession(instance)
+    pool = []
+    for fuzz_query in fuzzer.queries(QUERY_POOL, start=seed * QUERY_POOL):
+        try:
+            warm.annotated_rows(fuzz_query.expression, fuzz_query.params)
+        except NotApplicableError:  # aggregates have no Boolean provenance
+            continue
+        pool.append(fuzz_query)
+    assert pool
+    names = list(instance.relation_names)
+    for round_number in range(ROUNDS):
+        edits = [
+            _mutate_once(rng, instance, rng.choice(names))
+            for _ in range(EDITS_PER_ROUND)
+        ]
+        cold = EngineSession(instance)
+        for fuzz_query in pool:
+            assert warm.annotated_rows(
+                fuzz_query.expression, fuzz_query.params
+            ) == cold.annotated_rows(fuzz_query.expression, fuzz_query.params), (
+                f"warm provenance diverged — round={round_number} "
+                f"{fuzz_query.repro()}\n  edits this round: {edits}"
+            )
+    assert warm.stats["delta_dropped"] > 0
+
+_EDIT_STREAM_SCRIPT = """
+import random
+from test_differential_delta import _mutate_once
+from repro.datagen import toy_university_instance
+from repro.workload.fuzz import perturb_instance
+instance = perturb_instance(toy_university_instance(), seed=17)
+rng = random.Random(17)
+names = list(instance.relation_names)
+for _ in range(20):
+    print(_mutate_once(rng, instance, rng.choice(names)))
+"""
+
+
+def _edit_stream(hash_seed: str) -> str:
+    tests = Path(__file__).resolve().parent
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": hash_seed,
+        "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+    }
+    return subprocess.run(
+        [sys.executable, "-c", _EDIT_STREAM_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
 
 
 def test_repro_one_liner_replays_a_failure_scenario():
-    """The seed printed on failure fully determines the edit stream."""
-    first = perturb_instance(toy_university_instance(), seed=7)
-    second = perturb_instance(toy_university_instance(), seed=7)
-    rng_a, rng_b = random.Random(123), random.Random(123)
-    for _ in range(10):
-        name = rng_a.choice(list(first.relation_names))
-        assert name == rng_b.choice(list(second.relation_names))
-        assert _mutate_once(rng_a, first, name) == _mutate_once(rng_b, second, name)
-    for name in first.relation_names:
-        assert first.relation(name).value_set() == second.relation(name).value_set()
-
-
-def test_log_overflow_falls_back_to_cold_evaluation():
-    """A mutation burst past the log capacity degrades safely, not wrongly."""
-    from repro.catalog.instance import MUTATION_LOG_CAPACITY
-
-    instance = toy_university_instance()
-    session = EngineSession(instance)
-    fuzzer = QueryFuzzer(instance.schema, instance=instance)
-    pool = list(fuzzer.queries(4))
-    for fuzz_query in pool:
-        session.evaluate(fuzz_query.expression, fuzz_query.params)
-    student = instance.relation("Student")
-    rng = random.Random(99)
-    for _ in range(MUTATION_LOG_CAPACITY + 10):
-        tid = student.insert(_random_values(rng, instance, "Student"))
-        student.delete(tid)
-    cold = EngineSession(instance)
-    for fuzz_query in pool:
-        assert (
-            session.evaluate(fuzz_query.expression, fuzz_query.params).rows
-            == cold.evaluate(fuzz_query.expression, fuzz_query.params).rows
-        ), f"post-overflow divergence: {fuzz_query.repro()}"
-    assert session.stats["delta_fallback"] >= 1
+    """The trial seed printed on failure fixes the edit stream, whatever the
+    interpreter's string-hash seed."""
+    first = _edit_stream("1")
+    assert first.count("\n") == 20
+    assert _edit_stream("3") == first

@@ -137,7 +137,7 @@ class TestCallbackGauges:
 class TestCallbackCounters:
     """Counter families can be callback-backed, mirroring gauges.
 
-    The delta-maintenance counters (``repro_engine_delta_*_total``,
+    The memo-reconciliation counters (``repro_engine_delta_*_total``,
     ``repro_solver_clause_reuse_total``) are rendered this way: each worker
     owns its cumulative totals and the scrape-time callback replaces the
     stored series with the latest per-worker snapshot.
@@ -146,10 +146,10 @@ class TestCallbackCounters:
     def test_mapping_callback_replaces_stored_series(self):
         registry = MetricsRegistry()
         totals = {label_key({"worker": "0"}): 3.0}
-        registry.counter("patched_total", "Patched memos.", callback=lambda: totals)
+        registry.counter("dropped_total", "Dropped memos.", callback=lambda: totals)
         families = parse_exposition(registry.render())
-        (sample,) = families["patched_total"].samples
-        assert families["patched_total"].kind == "counter"
+        (sample,) = families["dropped_total"].samples
+        assert families["dropped_total"].kind == "counter"
         assert sample.labels == {"worker": "0"}
         assert sample.value == 3.0
         # The callback owns the cumulative total: a later snapshot wins.
@@ -157,7 +157,7 @@ class TestCallbackCounters:
         totals[label_key({"worker": "1"})] = 1.0
         by_worker = {
             s.labels["worker"]: s.value
-            for s in parse_exposition(registry.render())["patched_total"].samples
+            for s in parse_exposition(registry.render())["dropped_total"].samples
         }
         assert by_worker == {"0": 5.0, "1": 1.0}
 
@@ -183,12 +183,10 @@ class TestCallbackCounters:
         assert f'{CALLBACK_ERRORS_METRIC}{{metric="broken_total"}} 1' in second
 
     def test_delta_counter_families_render_through_promparse(self):
-        """Golden scrape: the five delta/solver families, labelled per worker."""
+        """Golden scrape: the three delta/solver families, labelled per worker."""
         families_declared = (
             "repro_engine_delta_maintained_total",
-            "repro_engine_delta_patched_total",
             "repro_engine_delta_dropped_total",
-            "repro_engine_delta_fallback_total",
             "repro_solver_clause_reuse_total",
         )
         registry = MetricsRegistry()

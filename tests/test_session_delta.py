@@ -1,29 +1,41 @@
-"""Delta-aware sessions: mutation API, incremental caches, clause reuse.
+"""Sessions across edits: mutation API, selective memo drops, clause reuse.
 
-The tentpole contract under test: a warm :class:`EngineSession` survives
-instance mutations.  Memo entries whose plans scan only untouched relations
-survive verbatim, set-domain entries over touched relations are patched
-differentially, provenance entries are dropped (one cold re-evaluation), and
-everything stays bit-identical to a cold session over the mutated data.  The
-solver side: structurally equal provenance CNFs (renamed duplicate
-submissions) warm-start from a cached clause set.
+The contract under test: a warm :class:`EngineSession` survives instance
+mutations.  A relation is touched when its version moved or when it appeared
+or disappeared; every memo entry whose plan scans a touched relation is
+dropped, in every domain, and every other entry is kept as the same object.
+Reconciling runs no operator, and everything stays bit-identical to a cold
+session over the mutated data.  The solver side: structurally equal
+provenance CNFs (renamed duplicate submissions) warm-start from a cached
+clause set.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.catalog.delta import Delta, RelationDelta
-from repro.catalog.instance import MUTATION_LOG_CAPACITY, DatabaseInstance
-from repro.datagen import toy_university_instance, university_schema
-from repro.engine.session import EngineSession
-from repro.errors import SchemaError
+from repro.catalog.instance import DatabaseInstance, Relation
+from repro.catalog.schema import RelationSchema
+from repro.catalog.types import DataType
+from repro.datagen import toy_university_instance
+from repro.engine.physical import PlanExecutor
+from repro.engine.session import EngineSession, plan_scan_relations
+from repro.errors import SchemaError, UnknownRelationError
 from repro.parser.ra_parser import parse_query
 
 
-def _fresh_copy(instance: DatabaseInstance) -> DatabaseInstance:
-    """An independent instance with identical contents and tids."""
-    return DatabaseInstance.from_dict(instance.to_dict())
+def _entries(session: EngineSession) -> dict:
+    """Every memo entry of every domain: ``{(domain, key): value}``."""
+    return {
+        (domain, key): value
+        for domain, memo in session._results.items()
+        for key, value in memo.items()
+    }
+
+
+def _scans(entry_key) -> frozenset:
+    _domain, (plan, _binding) = entry_key
+    return plan_scan_relations(plan, {})
 
 
 class TestMutationAPI:
@@ -60,7 +72,8 @@ class TestMutationAPI:
         old, new = student.update(tid, student.row(tid))
         assert old == new
         assert student.version == before
-        assert instance.update(tid, student.row(tid)).relations == frozenset()
+        assert instance.update(tid, student.row(tid)) == (old, old)
+        assert student.version == before
 
     def test_update_arity_mismatch_raises_schema_error(self):
         instance = toy_university_instance()
@@ -68,90 +81,22 @@ class TestMutationAPI:
         with pytest.raises(SchemaError, match="expects 2 values"):
             instance.relation("Student").update(tid, ("only-one",))
 
-    def test_instance_level_mutations_return_typed_deltas(self):
-        instance = toy_university_instance()
-        delta = instance.insert_row("Student", ("Zoe", "CS"))
-        assert delta.relations == frozenset({"Student"})
-        (change,) = delta.changes
-        assert change.inserted and not change.deleted
-        tid = change.inserted[0][0]
-        delta = instance.update(tid, ("Zoe", "ECON"))
-        (change,) = delta.changes
-        assert change.inserted[0][1] == ("Zoe", "ECON")
-        assert change.deleted[0][1] == ("Zoe", "CS")
-        delta = instance.delete(tid)
-        (change,) = delta.changes
-        assert change.deleted[0][0] == tid
-
-
-class TestMutationLog:
-    def test_changes_since_returns_ordered_entries(self):
+    def test_instance_level_mutations_return_what_the_relation_returns(self):
         instance = toy_university_instance()
         student = instance.relation("Student")
-        base = student.version
-        tid = student.insert(("Ada", "CS"))
-        student.update(tid, ("Ada", "MATH"))
-        student.delete(tid)
-        entries = student.changes_since(base)
-        assert [entry[1] for entry in entries] == ["+", "~", "-"]
-        assert [entry[0] for entry in entries] == [base + 1, base + 2, base + 3]
+        before = student.version
+        tid = instance.insert("Student", ("Zoe", "CS"))
+        assert student.row(tid) == ("Zoe", "CS")
+        assert instance.update(tid, ("Zoe", "ECON")) == (("Zoe", "CS"), ("Zoe", "ECON"))
+        assert instance.delete(tid) == ("Zoe", "ECON")
+        assert tid not in student
+        assert student.version == before + 3
 
-    def test_changes_since_current_version_is_empty(self):
+    def test_subset_inherits_the_version(self):
         student = toy_university_instance().relation("Student")
-        assert student.changes_since(student.version) == []
-
-    def test_future_version_reports_a_gap(self):
-        student = toy_university_instance().relation("Student")
-        assert student.changes_since(student.version + 1) is None
-
-    def test_log_eviction_reports_a_gap(self):
-        instance = toy_university_instance()
-        student = instance.relation("Student")
-        base = student.version
-        for i in range(MUTATION_LOG_CAPACITY + 1):
-            tid = student.insert((f"bulk{i}", "CS"))
-            student.delete(tid)
-        assert student.changes_since(base) is None
-
-    def test_net_delta_collapses_insert_update_delete(self):
-        instance = toy_university_instance()
-        student = instance.relation("Student")
-        base = student.version
-        tid = student.insert(("Ada", "CS"))
-        student.update(tid, ("Ada", "MATH"))
-        student.delete(tid)
-        assert student.delta_since(base).is_empty()
-
-    def test_net_delta_collapses_update_back_to_original(self):
-        instance = toy_university_instance()
-        student = instance.relation("Student")
-        tid = student.tids()[0]
-        original = student.row(tid)
-        base = student.version
-        student.update(tid, ("Elsewhere", "ART"))
-        student.update(tid, original)
-        assert student.delta_since(base).is_empty()
-
-    def test_subset_inherits_version_but_not_log(self):
-        instance = toy_university_instance()
-        student = instance.relation("Student")
-        base = student.version
         student.insert(("Ada", "CS"))
         sub = student.subset(student.tids()[:2])
         assert sub.version == student.version  # no version aliasing
-        assert sub.changes_since(base) is None  # fresh copy: gap, cold eval
-
-    def test_delta_merge_nets_out_round_trips(self):
-        insert = Delta((RelationDelta("R", inserted=(("R:1", (1,)),)),))
-        delete = Delta((RelationDelta("R", deleted=(("R:1", (1,)),)),))
-        # Insert-then-delete and delete-then-reinsert-identical both net out.
-        assert Delta.merge([insert, delete]).relations == frozenset()
-        assert Delta.merge([delete, insert]).relations == frozenset()
-        # Reinserting *different* values is a net update.
-        replace = Delta((RelationDelta("R", inserted=(("R:1", (2,)),)),))
-        merged = Delta.merge([delete, replace]).by_relation()["R"]
-        assert merged.deleted == (("R:1", (1,)),)
-        assert merged.inserted == (("R:1", (2,)),)
 
 
 class TestIndexMaintenance:
@@ -168,7 +113,7 @@ class TestIndexMaintenance:
         assert index == fresh
 
 
-class TestSessionDeltaMaintenance:
+class TestSessionReconciliation:
     QUERIES = (
         r"\project_{name} Student",
         r"\select_{dept = 'CS'} Registration",
@@ -183,44 +128,95 @@ class TestSessionDeltaMaintenance:
         expressions = [parse_query(q) for q in self.QUERIES]
         for expression in expressions:
             session.evaluate(expression)
+        for expression in self._annotatable(expressions):
+            session.annotated_rows(expression)
         return session, expressions
 
-    def test_untouched_relation_memos_survive(self):
+    def _annotatable(self, expressions):
+        """Boolean provenance does not cover aggregation."""
+        return [e for q, e in zip(self.QUERIES, expressions) if "aggr" not in q]
+
+    def test_untouched_entries_survive_as_the_same_object(self):
         instance = toy_university_instance()
         session, _ = self._warm(instance)
-        instance.insert_row("Student", ("Zoe", "CS"))
+        before = _entries(session)
+        instance.insert("Student", ("Zoe", "CS"))
         counts = session.apply_delta()
-        assert counts["delta_maintained"] > 0  # Registration-only subplans
-        assert counts["delta_fallback"] == 0
-        assert session.cache_info()["invalidations"] == 0
+        after = _entries(session)
+        kept = {key for key in before if "Student" not in _scans(key)}
+        assert kept  # Registration-only subplans, in both domains
+        assert {domain for domain, _ in kept} == {"set", "provenance"}
+        for key in kept:
+            assert after[key] is before[key]
+        assert counts["delta_maintained"] == len(kept)
 
-    def test_patched_results_match_a_cold_session(self):
+    def test_touched_entries_are_gone_from_every_domain(self):
+        instance = toy_university_instance()
+        session, _ = self._warm(instance)
+        before = _entries(session)
+        instance.update(instance.relation("Registration").tids()[0], ("Mary", "103", "MATH", 31))
+        counts = session.apply_delta()
+        touched = {key for key in before if "Registration" in _scans(key)}
+        assert {domain for domain, _ in touched} == {"set", "provenance"}
+        assert touched.isdisjoint(_entries(session))
+        assert set(_entries(session)) == set(before) - touched
+        assert counts == {
+            "delta_maintained": len(before) - len(touched),
+            "delta_dropped": len(touched),
+        }
+
+    def test_reconciliation_executes_no_operator(self, monkeypatch):
+        instance = toy_university_instance()
+        session, expressions = self._warm(instance)
+        instance.insert("Registration", ("Mary", "999", "CS", 88))
+        instance.delete(instance.relation("Student").tids()[0])
+
+        def refuse(self, plan):
+            raise AssertionError(f"reconciliation executed {type(plan).__name__}")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(PlanExecutor, "_execute", refuse)
+            counts = session.apply_delta()
+        assert counts["delta_dropped"] > 0
+        cold = EngineSession(instance)
+        for expression in expressions:
+            assert session.evaluate(expression) == cold.evaluate(expression)
+
+    def test_results_after_mixed_edits_match_a_cold_session(self):
         instance = toy_university_instance()
         session, expressions = self._warm(instance)
         reg = instance.relation("Registration")
-        instance.insert_row("Registration", ("Mary", "999", "CS", 88))
+        instance.insert("Registration", ("Mary", "999", "CS", 88))
         instance.update(reg.tids()[0], ("Mary", "103", "MATH", 31))
         instance.delete(reg.tids()[1])
-        instance.insert_row("Student", ("Zoe", "CS"))
-        counts = session.apply_delta()
-        assert counts["delta_patched"] > 0
+        instance.insert("Student", ("Zoe", "CS"))
         cold = EngineSession(instance)
         for expression in expressions:
             assert session.evaluate(expression) == cold.evaluate(expression)
-        assert session.cache_info()["invalidations"] == 0
+        for expression in self._annotatable(expressions):
+            assert session.annotated_rows(expression) == cold.annotated_rows(expression)
 
-    def test_log_gap_falls_back_to_wholesale_invalidation(self):
+    def test_an_edit_that_nets_out_still_drops(self):
+        """Versions, not contents, decide: an insert undone by a delete
+        touches the relation."""
         instance = toy_university_instance()
         session, expressions = self._warm(instance)
         student = instance.relation("Student")
-        tid = student.insert(("Zoe", "CS"))
-        student._log.clear()  # simulate eviction past the needed suffix
+        student.delete(student.insert(("Zoe", "CS")))
         counts = session.apply_delta()
-        assert counts["delta_fallback"] == 1
-        assert session.cache_info()["invalidations"] == 1
+        assert counts["delta_dropped"] > 0
         cold = EngineSession(instance)
         for expression in expressions:
             assert session.evaluate(expression) == cold.evaluate(expression)
+
+    def test_an_update_to_identical_values_drops_nothing(self):
+        instance = toy_university_instance()
+        session, _ = self._warm(instance)
+        before = _entries(session)
+        tid = instance.relation("Registration").tids()[0]
+        instance.update(tid, instance.lookup(tid))
+        assert session.apply_delta() == {"delta_maintained": 0, "delta_dropped": 0}
+        assert _entries(session) == before
 
     def test_provenance_entries_over_touched_relations_are_dropped(self):
         instance = toy_university_instance()
@@ -228,7 +224,7 @@ class TestSessionDeltaMaintenance:
         query = parse_query(r"\select_{major = 'CS'} Student")
         session.annotated_rows(query)
         before = session.cache_info()["delta_dropped"]
-        instance.insert_row("Student", ("Zoe", "CS"))
+        instance.insert("Student", ("Zoe", "CS"))
         counts = session.apply_delta()
         assert counts["delta_dropped"] >= 1
         # The provenance of the fresh instance still comes out right (cold).
@@ -240,25 +236,36 @@ class TestSessionDeltaMaintenance:
         instance = toy_university_instance()
         session, _ = self._warm(instance)
         counts = session.apply_delta()
-        assert counts == {
-            "delta_maintained": 0,
-            "delta_patched": 0,
-            "delta_dropped": 0,
-            "delta_fallback": 0,
-        }
+        assert counts == {"delta_maintained": 0, "delta_dropped": 0}
 
     def test_mutations_accumulated_while_cold_are_absorbed_lazily(self):
         """The session reconciles on the next execute, not only on apply_delta."""
         instance = toy_university_instance()
         session, expressions = self._warm(instance)
-        instance.insert_row("Student", ("Zoe", "CS"))
-        instance.insert_row("Registration", ("Zoe", "101", "CS", 91))
+        instance.insert("Student", ("Zoe", "CS"))
+        instance.insert("Registration", ("Zoe", "101", "CS", 91))
         cold = EngineSession(instance)
         for expression in expressions:
             assert session.evaluate(expression) == cold.evaluate(expression)
-        info = session.cache_info()
-        assert info["invalidations"] == 0
-        assert info["delta_patched"] > 0
+        assert session.cache_info()["delta_dropped"] > 0
+
+    def test_compiled_plans_survive_an_edit(self):
+        instance = toy_university_instance()
+        session, expressions = self._warm(instance)
+        plans = session.cache_info()["cached_plans"]
+        misses = session.stats["plan_misses"]
+        instance.insert("Registration", ("Zoe", "101", "CS", 91))
+        for expression in expressions:
+            session.evaluate(expression)
+        assert session.cache_info()["cached_plans"] == plans
+        assert session.stats["plan_misses"] == misses
+
+    def test_a_lazy_reconcile_leaves_apply_delta_nothing_to_do(self):
+        instance = toy_university_instance()
+        session, expressions = self._warm(instance)
+        instance.insert("Student", ("Zoe", "CS"))
+        session.evaluate(expressions[0])  # reconciles on the way in
+        assert session.apply_delta() == {"delta_maintained": 0, "delta_dropped": 0}
 
 
 class TestClauseReuse:
@@ -317,16 +324,110 @@ class TestClauseReuse:
         assert warm.true_variables == cold.true_variables
 
 
-class TestSchemaChangeStillInvalidates:
-    def test_relation_set_change_forces_wholesale_drop(self):
+class TestRelationSetChanges:
+    GHOST = RelationSchema.of(
+        "Ghost", [("name", DataType.STRING), ("major", DataType.STRING)]
+    )
+
+    def _instance(self) -> DatabaseInstance:
         instance = toy_university_instance()
+        instance.schema.add_relation(self.GHOST)
+        return instance
+
+    def test_a_relation_appearing_drops_only_the_entries_that_scan_it(self):
+        instance = self._instance()
         session = EngineSession(instance)
         session.evaluate(parse_query(r"\project_{name} Student"))
-        # Simulate a relation appearing (e.g. a re-registered instance).
-        from repro.catalog.instance import Relation
+        session.annotated_rows(parse_query("Registration"))
+        before = _entries(session)
+        instance.relations["Ghost"] = Relation(self.GHOST)
+        counts = session.apply_delta()
+        assert counts == {"delta_maintained": len(before), "delta_dropped": 0}
+        after = _entries(session)
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            assert after[key] is value
+        assert len(session.evaluate(parse_query("Ghost"))) == 0
 
-        extra_schema = university_schema().relation("Student")
-        instance.relations["Ghost"] = Relation(extra_schema)
-        session.apply_delta()
-        assert session.cache_info()["invalidations"] == 1
+    def test_a_relation_disappearing_drops_only_the_entries_that_scan_it(self):
+        instance = self._instance()
+        ghost = instance.relations["Ghost"] = Relation(self.GHOST)
+        ghost.insert(("Casper", "CS"))
+        session = EngineSession(instance)
+        for text in (
+            r"\project_{name} Student",
+            r"\select_{major = 'CS'} Ghost",
+            r"\project_{name} Ghost \diff \project_{name} Student",
+            "Registration",
+        ):
+            session.evaluate(parse_query(text))
+            session.annotated_rows(parse_query(text))
+        before = _entries(session)
+        haunted = {key for key in before if "Ghost" in _scans(key)}
+        assert haunted and haunted != before.keys()
         del instance.relations["Ghost"]
+        counts = session.apply_delta()
+        assert counts == {
+            "delta_maintained": len(before) - len(haunted),
+            "delta_dropped": len(haunted),
+        }
+        after = _entries(session)
+        assert after.keys() == before.keys() - haunted
+        for key in after:
+            assert after[key] is before[key]
+        running = sum(memo.weight for memo in session._results.values())
+        assert running == sum(len(rows) for rows in after.values())
+        # The ghost's plans survive, so a query over it fails as a cold
+        # session's would, when it reads the missing relation.
+        with pytest.raises(UnknownRelationError, match="Ghost"):
+            session.evaluate(parse_query(r"\select_{major = 'CS'} Ghost"))
+
+
+class TestServiceMutate:
+    def test_reply_carries_the_two_memo_counters(self):
+        from repro.api.registry import DatasetRegistry
+        from repro.api.service import GradingService
+
+        service = GradingService(DatasetRegistry(), default_dataset="toy-university")
+        session = service.handle_for().session
+        session.evaluate(parse_query(r"\project_{name} Student"))
+        session.evaluate(parse_query("Registration"))
+        reply = service.mutate(
+            {
+                "operations": [
+                    {"op": "insert", "relation": "Student", "values": ["Zoe", "ART"], "tid": "Student:90"},
+                    {"op": "update", "tid": "Student:90", "values": ["Zoe", "CS"]},
+                ]
+            }
+        )
+        assert reply["applied"] == 2
+        assert reply["delta"] == {"delta_maintained": 1, "delta_dropped": 2}
+        assert service.handle_for().instance.lookup("Student:90") == ("Zoe", "CS")
+
+    def test_grades_after_mutate_match_a_service_that_mutated_first(self):
+        from repro.api.registry import DatasetRegistry
+        from repro.api.service import GradingService
+        from repro.workload.course import course_questions
+
+        edits = {
+            "operations": [
+                {"op": "insert", "relation": "Student", "values": ["Zoe", "CS"]},
+                {"op": "insert", "relation": "Registration", "values": ["Zoe", "230", "CS", 93]},
+                {"op": "delete", "tid": "Registration:4"},
+            ]
+        }
+        requests = [
+            {"correct_query": question.correct_text, "test_query": wrong}
+            for question in course_questions()[:3]
+            for wrong in question.wrong_texts[:2]
+        ]
+        warm = GradingService(DatasetRegistry(), default_dataset="toy-university")
+        for request in requests:
+            warm.submit(request)
+        warm.mutate(edits)
+        cold = GradingService(DatasetRegistry(), default_dataset="toy-university")
+        cold.mutate(edits)
+        for request in requests:
+            assert warm.submit(request).to_dict(include_timings=False) == cold.submit(
+                request
+            ).to_dict(include_timings=False)
