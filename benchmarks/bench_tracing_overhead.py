@@ -10,14 +10,17 @@ TPC-H-lite instance, then gates two things:
   sets for the reference and the submission (the oracle refuses rather than
   answers when it cannot run a query faithfully, which fails the run);
 * **tracing overhead** — best-of-N warm grading (plans hot, result memo
-  cleared before each pass) under an ambient span with per-operator tracing
-  costs at most 5% over untraced, plus a 0.05 s epsilon so timing noise at
-  small scale factors cannot fail the gate.  The traced regime is what
-  ``/v1/grade?trace=1`` exercises.
+  cleared before each pass) under an ambient span, which opens a span per
+  engine operator, costs at most 5% over untraced, plus an epsilon of 1% of
+  the untraced time.  The traced regime is what ``/v1/grade?trace=1``
+  exercises.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_tracing_overhead.py``)
 for a summary, or through pytest for the assertions.  ``REPRO_BENCH_SCALE``
-overrides the TPC-H scale factor (default 1 ≈ 7k tuples; CI uses 0.2).
+overrides the TPC-H scale factor (default 1 ≈ 7k tuples) and
+``REPRO_BENCH_WARM_PASSES`` the passes per regime (default 3; CI runs scale 1
+with 10 passes).  At small scale factors a pass takes a few milliseconds and
+the gate measures timer noise more than tracing.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import time
 from repro.api import GradingService, SubmissionRequest
 from repro.datagen import tpch_instance
 from repro.engine.backends.sqlite import SqliteBackend
-from repro.obs.trace import Tracer, operator_trace
+from repro.obs.trace import Tracer
 from repro.parser import parse_query
 from repro.workload import tpch_queries
 
@@ -36,10 +39,10 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
 WARM_PASSES = int(os.environ.get("REPRO_BENCH_WARM_PASSES", "3"))
 
 #: Tracing overhead gate: traced warm grading may cost at most 5% over
-#: untraced, plus a small absolute epsilon so micro-second timing noise on
-#: tiny scale factors cannot fail the gate spuriously.
+#: untraced, plus an epsilon relative to the untraced time, so the gate
+#: binds at every scale instead of being absorbed by a fixed allowance.
 TRACE_OVERHEAD_RATIO = 1.05
-TRACE_OVERHEAD_EPSILON_S = 0.05
+TRACE_OVERHEAD_EPSILON = 0.01
 
 
 def _requests() -> list[SubmissionRequest]:
@@ -98,7 +101,7 @@ def run_benchmark(seed: int = 7) -> dict:
     # on the host lands on both sides instead of biasing the last one.
     for _ in range(max(2, WARM_PASSES * 2)):
         untraced = min(untraced, grading_pass())
-        with tracer.span("bench.grade"), operator_trace(True):
+        with tracer.span("bench.grade"):
             traced = min(traced, grading_pass())
     result.update(
         untraced_warm_grading_s=untraced,
@@ -107,9 +110,9 @@ def run_benchmark(seed: int = 7) -> dict:
     )
     # Gate: per-request tracing must stay cheap enough to leave on-demand
     # (?trace=1) tracing viable on a production daemon.
-    assert traced <= untraced * TRACE_OVERHEAD_RATIO + TRACE_OVERHEAD_EPSILON_S, (
+    assert traced <= untraced * (TRACE_OVERHEAD_RATIO + TRACE_OVERHEAD_EPSILON), (
         f"traced warm grading ({traced:.3f}s) exceeds "
-        f"{TRACE_OVERHEAD_RATIO:.0%} of untraced ({untraced:.3f}s)"
+        f"{TRACE_OVERHEAD_RATIO + TRACE_OVERHEAD_EPSILON:.0%} of untraced ({untraced:.3f}s)"
     )
     return result
 
@@ -134,7 +137,7 @@ def main() -> None:
     print(
         f"tracing overhead on warm grading: {result['traced_warm_grading_s']:.3f}s "
         f"traced vs {result['untraced_warm_grading_s']:.3f}s untraced "
-        f"({result['tracing_overhead']:.2f}x, gate {TRACE_OVERHEAD_RATIO:.2f}x)"
+        f"({result['tracing_overhead']:.2f}x, gate {TRACE_OVERHEAD_RATIO + TRACE_OVERHEAD_EPSILON:.2f}x)"
     )
     from _summary import write_summary
 

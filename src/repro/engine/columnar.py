@@ -48,6 +48,7 @@ from repro.engine.logical import (
 )
 from repro.engine.physical import compile_predicate, key_function
 from repro.errors import QueryEvaluationError, UnknownAttributeError
+from repro.obs.trace import current_span
 from repro.ra.analysis import predicate_can_raise
 from repro.ra.predicates import (
     COMPARISON_OPS,
@@ -335,8 +336,8 @@ def _build_table(executor: "PlanExecutor", plan: PlanNode, key: tuple[int, ...])
     """Build-side hash table: key tuple → its rows (or ``(row, annotation)``
     pairs outside the Set domain) in first-seen order."""
     if isinstance(plan, ScanOp):
-        if executor.analyzer is not None:
-            executor.analyzer.note(from_index=True)
+        if executor.span_meta is not None:  # the join's span is current
+            current_span().attributes["from_index"] = True
         relation = executor.instance.relation(plan.relation)
         return index_table(relation, key, executor.domain)
     extract = key_function(key)

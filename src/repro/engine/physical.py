@@ -37,6 +37,8 @@ from repro.engine.logical import (
     ScanOp,
     UnionOp,
 )
+from repro.obs.analyze import q_error
+from repro.obs.trace import active_tracer
 from repro.ra.ast import AggregateFunction
 from repro.ra.predicates import (
     COMPARISON_OPS,
@@ -272,17 +274,18 @@ class PlanExecutor:
         memo: MutableMapping[tuple, "dict[Values, Any]"],
         param_refs: MutableMapping[PlanNode, frozenset] | None = None,
         *,
-        analyzer=None,
+        span_meta: "Callable[[PlanNode], tuple[str, str, float | None]] | None" = None,
     ) -> None:
         self.instance = instance
         self.params = params
         self.domain = domain
         self.memo = memo
         self.param_refs = {} if param_refs is None else param_refs
-        # Optional EXPLAIN ANALYZE hook (repro.obs.analyze.PlanAnalyzer):
-        # run_cached calls its enter/exit around every operator execution,
-        # so it times and row-counts them without a memo protocol of its own.
-        self.analyzer = analyzer
+        # Traced execution: ``span_meta(plan)`` gives ``(span name, detail,
+        # est_rows)`` and every run_cached opens that span on the tracer of
+        # the span current at construction.
+        self.span_meta = span_meta
+        self.tracer = active_tracer() if span_meta is not None else None
 
     def _referenced_params(self, plan: PlanNode) -> frozenset:
         """Names of the query parameters the subplan's predicates read."""
@@ -295,25 +298,37 @@ class PlanExecutor:
 
     def run_cached(self, plan: PlanNode):
         """Memoized execution returning a dict or a ``ColumnBatch``."""
-        analyzer = self.analyzer
-        if analyzer is not None:
-            analyzer.enter(plan)
-        try:
-            key = plan_memo_key(plan, self.params, self.param_refs)
-            if key is None:  # unhashable literal/parameter value: skip caching
-                result, cached = self._execute(plan), False
-            else:
-                result = self.memo.get(key)
-                cached = result is not None
-                if not cached:
-                    result = self._execute(plan)
-                    self.memo[key] = result
-        except BaseException:
-            if analyzer is not None:
-                analyzer.exit(None, cached=False)
-            raise
-        if analyzer is not None:
-            analyzer.exit(result, cached=cached)
+        if self.span_meta is not None:
+            return self._run_traced(plan)
+        return self._lookup_or_compute(plan)[0]
+
+    def _lookup_or_compute(self, plan: PlanNode) -> tuple[Any, bool]:
+        """``(result, served from the memo)`` for ``plan``."""
+        key = plan_memo_key(plan, self.params, self.param_refs)
+        if key is None:  # unhashable literal/parameter value: skip caching
+            return self._execute(plan), False
+        result = self.memo.get(key)
+        if result is not None:
+            return result, True
+        result = self.memo[key] = self._execute(plan)
+        return result, False
+
+    def _run_traced(self, plan: PlanNode):
+        """:meth:`run_cached` inside an ``op.<Operator>`` span.
+
+        The span nests under the operator that asked for ``plan`` and closes
+        with its output rows, memo attribution, result form and q-error.
+        """
+        name, detail, est_rows = self.span_meta(plan)
+        with self.tracer.span(name, attributes={"detail": detail} if detail else None) as span:
+            result, cached = self._lookup_or_compute(plan)
+            attributes = span.attributes
+            attributes["rows"] = rows = len(result)
+            attributes["cached"] = cached
+            attributes["columnar"] = not isinstance(result, dict)  # a ColumnBatch
+            if est_rows is not None:
+                attributes["est_rows"] = est_rows
+                attributes["q_error"] = q_error(est_rows, rows)
         return result
 
     # -- dispatch ------------------------------------------------------------

@@ -33,6 +33,14 @@ movement only ever *filters* annotated rows, so this flavour stays
 bit-identical to the reference provenance evaluator (asserted by
 ``tests/test_provenance_engine_path.py``).
 
+Set-domain execution is **traced** whenever a span is current: every plan
+node it runs opens an ``op.<Operator>`` span on the active tracer (see
+:meth:`PlanExecutor.run_cached <repro.engine.physical.PlanExecutor.run_cached>`),
+labelled and estimated from one per-session cache of operator metadata.
+:meth:`EngineSession.explain_analyze` is an evaluation under a private
+tracer whose captured operator spans become the EXPLAIN ANALYZE tree; it runs
+the same plan and memo as any other evaluation.
+
 Sessions are **thread-safe**: a reentrant lock serializes plan compilation
 and execution, so one warm session per dataset can serve a pool of grading
 workers (see :mod:`repro.api.service`).  The lock makes sharing *correct*
@@ -48,7 +56,6 @@ compare its rows with the session's, and nothing here calls it.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Iterable, Mapping
 
 from repro.catalog.instance import DatabaseInstance, ResultSet, Values
@@ -68,7 +75,8 @@ from repro.engine.physical import PlanExecutor
 from repro.engine.structural import KeyCache, StructuralKey
 from repro.errors import ReproError
 from repro.lru import LRUCache
-from repro.obs.trace import current_span, operator_trace_enabled
+from repro.obs.analyze import ExplainAnalysis, operator_meta
+from repro.obs.trace import Tracer, current_span
 from repro.ra.ast import RAExpression
 from repro.solver.clausecache import ClauseCache
 
@@ -98,14 +106,13 @@ class EngineSession:
         self._schemas: dict[StructuralKey, RelationSchema] = {}
         self._results: dict[str, LRUCache] = {}
         self._param_refs: dict[PlanNode, frozenset] = {}
-        # EXPLAIN ANALYZE support: one long-lived estimator (its memo is keyed
-        # by structurally-equal plan nodes) plus an identity-keyed est-rows
-        # cache over the *cached* physical plans, so a traced warm request
-        # never re-walks plan trees just to annotate operator spans.  Both
-        # live and die with ``_plans``.
-        self._analyze_estimator: "CardinalityEstimator | None" = None
-        self._analyze_est: dict[int, "tuple[PlanNode, float | None]"] = {}
-        self._analyze_meta: dict[int, "tuple[PlanNode, str, str]"] = {}
+        # Operator-span metadata per plan node, so a traced warm request
+        # re-describes and re-estimates no operator.  Keyed by node identity
+        # (the entry pins the node, so its id cannot be recycled): equal but
+        # distinct subtrees of different queries would otherwise be told
+        # apart by deep equality on every traced operator.  Estimates read
+        # row counts, so an edit drops the cache.
+        self._op_meta: dict[int, tuple[PlanNode, tuple[str, str, float | None]]] = {}
         self._rel_versions: dict[str, int] = {
             name: rel.version for name, rel in instance.relations.items()
         }
@@ -151,9 +158,7 @@ class EngineSession:
             self._param_refs.clear()
             self._keys.clear()
             self._scan_sets.clear()
-            self._analyze_estimator = None
-            self._analyze_est.clear()
-            self._analyze_meta.clear()
+            self._op_meta.clear()
 
     def _reconcile_versions(self) -> None:
         """Drop every memo entry whose plan scans a touched relation.
@@ -163,7 +168,7 @@ class EngineSession:
         kept as it is, in every domain.  Plans, structural keys and
         parameter-reference maps are data-independent and survive (a stale
         build side is a performance matter, not a correctness one); the
-        EXPLAIN ANALYZE estimator reads row counts, so it is reset.
+        operator-span estimates read row counts, so they are dropped.
         """
         current = {name: rel.version for name, rel in self.instance.relations.items()}
         known = self._rel_versions
@@ -175,8 +180,7 @@ class EngineSession:
             if current.get(name) != known.get(name)
         }
         self._rel_versions = current
-        self._analyze_estimator = None
-        self._analyze_est.clear()
+        self._op_meta.clear()
         for memo in self._results.values():
             for key in list(memo.keys()):
                 if touched.isdisjoint(plan_scan_relations(key[0], self._scan_sets)):
@@ -303,63 +307,45 @@ class EngineSession:
                 schema = expression.output_schema(self.instance.schema)
                 self._schemas[schema_key] = schema
             plan = self._plan(expression, domain)
-            analyzer = None
-            if domain is SET_DOMAIN and operator_trace_enabled() and current_span() is not None:
-                # A traced request asked for per-operator spans: attach an
-                # analyzer.  Results land in the shared memo either way.
-                from repro.obs.analyze import PlanAnalyzer
-
-                analyzer = PlanAnalyzer(meta_cache=self._analyze_meta)
+            traced = domain is SET_DOMAIN and current_span() is not None
             executor = PlanExecutor(
                 self.instance,
                 params or {},
                 domain,
                 self._memo(domain),
                 self._param_refs,
-                analyzer=analyzer,
+                span_meta=self._span_meta if traced else None,
             )
-            result = executor.run(plan)
-            if analyzer is not None:
-                from repro.obs.analyze import emit_operator_spans
+            return schema, executor.run(plan)
 
-                if self._analyze_estimator is None:
-                    self._analyze_estimator = CardinalityEstimator(self.instance)
-                emit_operator_spans(
-                    analyzer, self._analyze_estimator, est_cache=self._analyze_est
-                )
-            return schema, result
+    def _span_meta(self, plan: PlanNode) -> tuple[str, str, float | None]:
+        """``(span name, detail, est_rows)`` of the operator span over ``plan``.
+
+        A miss describes and estimates ``plan``'s whole subtree with one
+        estimator, so the operators below it hit.
+        """
+        entry = self._op_meta.get(id(plan))
+        if entry is None or entry[0] is not plan:
+            estimator = CardinalityEstimator(self.instance)
+            for node in plan_operators(plan):
+                self._op_meta[id(node)] = (node, operator_meta(node, estimator))
+            entry = self._op_meta[id(plan)]
+        return entry[1]
 
     def explain_analyze(self, expression: RAExpression, params: ParamValues | None = None):
         """EXPLAIN ANALYZE: execute under set semantics with per-operator timing.
 
-        Returns an :class:`~repro.obs.analyze.ExplainAnalysis` whose operator
-        tree carries actual rows, wall time, cache/index/columnar attribution,
-        and the :class:`CardinalityEstimator`'s predicted rows with per-operator
-        q-error.  Uses the same plan and memo the normal path would, so the
-        analysis reflects real execution (including warm-cache hits).
+        Evaluates on a private tracer and returns the captured operator spans
+        as an :class:`~repro.obs.analyze.ExplainAnalysis`: per operator, actual
+        rows, wall time, cache/index/columnar attribution, and the
+        :class:`CardinalityEstimator`'s predicted rows with q-error.  Uses the
+        same plan and memo the normal path would, so the analysis reflects
+        real execution (including warm-cache hits).
         """
-        from repro.obs.analyze import ExplainAnalysis, PlanAnalyzer
-
-        with self._lock:
-            self._check_version()
-            expression.output_schema(self.instance.schema)  # validate up front
-            plan = self._plan(expression, SET_DOMAIN)
-            analyzer = PlanAnalyzer()
-            executor = PlanExecutor(
-                self.instance,
-                params or {},
-                SET_DOMAIN,
-                self._memo(SET_DOMAIN),
-                self._param_refs,
-                analyzer=analyzer,
-            )
-            begin = time.perf_counter()
-            rows = executor.run(plan)
-            total = time.perf_counter() - begin
-            estimator = CardinalityEstimator(self.instance)
-            return ExplainAnalysis.build(
-                analyzer, estimator, output_rows=len(rows), total_seconds=total
-            )
+        tracer = Tracer("explain-analyze")
+        with tracer.capture() as spans, tracer.span("explain.analyze", parent=None):
+            _, rows = self.execute(expression, SET_DOMAIN, params)
+        return ExplainAnalysis.from_spans(spans, output_rows=len(rows))
 
     def evaluate(self, expression: RAExpression, params: ParamValues | None = None) -> ResultSet:
         """Set-semantics evaluation (same contract as ``repro.ra.evaluate``)."""

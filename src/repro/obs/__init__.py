@@ -1,14 +1,16 @@
 """Observability: tracing, EXPLAIN ANALYZE, JSON logging, exposition parsing.
 
-Stdlib-only.  :mod:`repro.obs.trace` is import-light (no repro imports) so
-any layer — engine, solver, server — can depend on it without cycles.
+Stdlib-only.  :mod:`repro.obs.trace` and :mod:`repro.obs.analyze` are
+import-light (no other repro imports) so any layer — engine, solver, server
+— can depend on them without cycles.  There is one timing system: spans.
+Grading phases, solver counters and engine operators (``op.*`` spans, opened
+by the executor whenever a span is current) all land on the same tracer,
+and EXPLAIN ANALYZE is those operator spans rebuilt into a tree.
 """
 
 from repro.obs.analyze import (
     ExplainAnalysis,
     OperatorRecord,
-    PlanAnalyzer,
-    emit_operator_spans,
     q_error,
 )
 from repro.obs.logging import JsonLogFormatter, configure_json_logging
@@ -22,8 +24,6 @@ from repro.obs.trace import (
     add_span_metrics,
     current_span,
     current_traceparent,
-    operator_trace,
-    operator_trace_enabled,
     span,
 )
 
@@ -37,14 +37,10 @@ __all__ = [
     "add_span_metrics",
     "current_span",
     "current_traceparent",
-    "operator_trace",
-    "operator_trace_enabled",
     "span",
     "JsonLogFormatter",
     "configure_json_logging",
     "ExplainAnalysis",
     "OperatorRecord",
-    "PlanAnalyzer",
-    "emit_operator_spans",
     "q_error",
 ]

@@ -1,30 +1,28 @@
-"""EXPLAIN ANALYZE: per-operator runtime instrumentation for the plan engine.
+"""EXPLAIN ANALYZE: per-operator runtime attribution for the plan engine.
 
-A :class:`PlanAnalyzer` hooks into :meth:`PlanExecutor.run_cached` — the
-single choke point every operator (the batch operators and the dict set
-operations alike) funnels through — and records, per plan node execution: wall time, actual output
-rows, whether the result came from the session memo (cache attribution),
-whether a batch operator produced it, and whether a hash-index fast
-path served a build side.  The records form a tree mirroring the executed plan.
+Engine operators are spans.  Whenever a span is current, every Set-domain
+plan-node execution in :meth:`PlanExecutor.run_cached
+<repro.engine.physical.PlanExecutor.run_cached>` opens an ``op.<Operator>``
+span around its memo lookup-or-compute.  The span carries the node's
+``detail`` label and the
+:class:`~repro.engine.optimizer.CardinalityEstimator`'s ``est_rows``; when it
+closes, the actual output ``rows``, whether the session memo served it
+(``cached``), whether a batch operator produced it (``columnar``) and the
+**q-error** ``max(est/actual, actual/est)``, the standard scale-free measure
+of estimation quality (1.0 = perfect).  A join whose build side was served
+from a prebuilt relation index adds ``from_index``.
 
-:class:`ExplainAnalysis` then joins those actuals against
-:class:`~repro.engine.optimizer.CardinalityEstimator` predictions to compute
-per-operator **q-error** — ``max(est/actual, actual/est)``, the standard
-scale-free measure of estimation quality (1.0 = perfect).  This is the
-feedback loop the optimizer work needs: the estimator's numbers checked
-against what actually ran, on every operator of every analyzed query.
-
-:func:`emit_operator_spans` converts the same records into trace spans so a
-``?trace=1`` grading request carries engine operators in its trace.
+:class:`ExplainAnalysis` is the same spans rebuilt into an operator tree:
+:meth:`EngineSession.explain_analyze
+<repro.engine.session.EngineSession.explain_analyze>` evaluates under a
+private tracer, captures the spans and hands them to
+:meth:`ExplainAnalysis.from_spans`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any
-
-from repro.obs.trace import Span, SpanContext, Tracer, active_tracer, current_span
+from typing import Any, Iterable, Mapping
 
 
 def q_error(estimated: float | None, actual: float) -> float | None:
@@ -63,14 +61,32 @@ def _describe(plan: Any) -> str:
     return ""
 
 
+def operator_meta(plan: Any, estimator: Any) -> tuple[str, str, float | None]:
+    """``(span name, detail, est_rows)`` of the operator span over ``plan``.
+
+    A node the estimator has no rule for (it raises ``TypeError``) gets
+    ``est_rows = None``.
+    """
+    try:
+        est_rows = estimator.estimate(plan)
+    except TypeError:
+        est_rows = None
+    return f"op.{type(plan).__name__.removesuffix('Op')}", _describe(plan), est_rows
+
+
+#: Operator-span attributes that :class:`OperatorRecord` holds as fields;
+#: any other attribute (``from_index``) lands in its ``extra``.
+_RECORD_ATTRIBUTES = frozenset(
+    {"detail", "rows", "cached", "columnar", "est_rows", "q_error"}
+)
+
+
 @dataclass(slots=True)
 class OperatorRecord:
     """One executed plan-node occurrence, with its children."""
 
-    plan: Any
     op: str
     detail: str
-    start: float = 0.0
     seconds: float = 0.0
     actual_rows: int = 0
     cached: bool = False
@@ -79,6 +95,29 @@ class OperatorRecord:
     est_rows: float | None = None
     extra: dict[str, Any] = field(default_factory=dict)
     children: list["OperatorRecord"] = field(default_factory=list)
+
+    @staticmethod
+    def from_span(
+        span: Mapping[str, Any], children: "list[OperatorRecord]"
+    ) -> "OperatorRecord":
+        """The record of one finished ``op.*`` span dict."""
+        attributes = span.get("attributes") or {}
+        return OperatorRecord(
+            op=span["name"].removeprefix("op."),
+            detail=attributes.get("detail", ""),
+            seconds=span["duration"],
+            actual_rows=attributes.get("rows", 0),
+            cached=attributes.get("cached", False),
+            columnar=attributes.get("columnar", False),
+            status=span["status"],
+            est_rows=attributes.get("est_rows"),
+            extra={
+                key: value
+                for key, value in attributes.items()
+                if key not in _RECORD_ATTRIBUTES
+            },
+            children=children,
+        )
 
     @property
     def q_error(self) -> float | None:
@@ -104,92 +143,6 @@ class OperatorRecord:
         return out
 
 
-class PlanAnalyzer:
-    """Collects an operator tree while a :class:`PlanExecutor` runs a plan.
-
-    The executor's ``run_cached`` calls :meth:`enter` before and :meth:`exit`
-    after each memo lookup-or-compute, so analyzed execution runs the very
-    same memo protocol as unanalyzed execution; the analyzer only adds the
-    timing and row bookkeeping around it.
-    """
-
-    def __init__(
-        self, meta_cache: "dict[int, tuple[Any, str, str]] | None" = None
-    ) -> None:
-        self.roots: list[OperatorRecord] = []
-        self._stack: list[tuple[OperatorRecord, float]] = []  # (record, start)
-        #: Optional identity-keyed ``{id(plan): (plan, op, detail)}`` cache.
-        #: Describing a node (``repr`` of predicates, mostly) is plan-static,
-        #: so sessions that cache physical plans share one long-lived dict
-        #: across analyzed executions; entries pin the node to keep ids valid.
-        self._meta = meta_cache
-
-    def enter(self, plan: Any) -> None:
-        """Open a record for ``plan`` under the operator currently executing."""
-        meta = None if self._meta is None else self._meta.get(id(plan))
-        if meta is not None and meta[0] is plan:
-            op, detail = meta[1], meta[2]
-        else:
-            op = type(plan).__name__.removesuffix("Op")
-            detail = _describe(plan)
-            if self._meta is not None:
-                self._meta[id(plan)] = (plan, op, detail)
-        record = OperatorRecord(plan=plan, op=op, detail=detail)
-        if self._stack:
-            self._stack[-1][0].children.append(record)
-        else:
-            self.roots.append(record)
-        record.start = time.time()
-        self._stack.append((record, time.perf_counter()))
-
-    def exit(self, result: Any, *, cached: bool) -> None:
-        """Close the open record; ``result`` is ``None`` when execution raised."""
-        record, begin = self._stack.pop()
-        record.seconds = time.perf_counter() - begin
-        if result is None:
-            record.status = "error"
-            return
-        record.cached = cached
-        record.actual_rows = len(result)
-        record.columnar = not isinstance(result, dict)  # ColumnBatch result
-
-    def note(self, **attrs: Any) -> None:
-        """Attach extra attributes to the operator currently executing.
-
-        The hash-index fast paths in ``columnar.py`` call
-        this with ``from_index=True`` when a join build side was served from
-        a prebuilt relation index instead of being materialized.
-        """
-        if self._stack:
-            self._stack[-1][0].extra.update(attrs)
-
-
-def _attach_estimates(
-    records: "list[OperatorRecord]",
-    estimator: Any,
-    est_cache: "dict[int, tuple[Any, float | None]] | None" = None,
-) -> None:
-    """Set ``est_rows`` on every record of the trees rooted at ``records``.
-
-    ``est_cache`` memoizes estimates per plan-node *identity* (the entry pins
-    the node so its id cannot be recycled); see :func:`emit_operator_spans`.
-    A node the estimator has no rule for (it raises ``TypeError``) keeps
-    ``est_rows = None``.
-    """
-    for record in records:
-        hit = None if est_cache is None else est_cache.get(id(record.plan))
-        if hit is not None and hit[0] is record.plan:
-            record.est_rows = hit[1]
-        else:
-            try:
-                record.est_rows = estimator.estimate(record.plan)
-            except TypeError:
-                record.est_rows = None
-            if est_cache is not None:
-                est_cache[id(record.plan)] = (record.plan, record.est_rows)
-        _attach_estimates(record.children, estimator, est_cache)
-
-
 @dataclass
 class ExplainAnalysis:
     """The finished EXPLAIN ANALYZE result for one executed expression."""
@@ -199,20 +152,26 @@ class ExplainAnalysis:
     total_seconds: float
 
     @staticmethod
-    def build(
-        analyzer: PlanAnalyzer,
-        estimator: Any | None,
-        *,
-        output_rows: int,
-        total_seconds: float,
+    def from_spans(
+        spans: Iterable[Mapping[str, Any]], *, output_rows: int
     ) -> "ExplainAnalysis":
-        """Attach estimator predictions to the analyzer's operator tree."""
-        if estimator is not None:
-            _attach_estimates(analyzer.roots, estimator)
+        """Rebuild the operator tree from captured span dicts.
+
+        Spans arrive in finish order, so every operator's children are
+        complete before the operator itself; spans other than ``op.*`` are
+        skipped, and operators whose parent is not an operator become roots.
+        ``total_seconds`` is the roots' combined duration.
+        """
+        children: dict[Any, list[OperatorRecord]] = {}
+        for span in spans:
+            if span["name"].startswith("op."):
+                record = OperatorRecord.from_span(span, children.pop(span["span_id"], []))
+                children.setdefault(span["parent_id"], []).append(record)
+        roots = [record for records in children.values() for record in records]
         return ExplainAnalysis(
-            roots=analyzer.roots,
+            roots=roots,
             output_rows=output_rows,
-            total_seconds=total_seconds,
+            total_seconds=sum(record.seconds for record in roots),
         )
 
     def max_q_error(self) -> float | None:
@@ -271,70 +230,9 @@ class ExplainAnalysis:
         }
 
 
-def emit_operator_spans(
-    analyzer: PlanAnalyzer,
-    estimator: Any | None = None,
-    *,
-    tracer: Tracer | None = None,
-    parent: "Span | SpanContext | None" = None,
-    est_cache: "dict[int, tuple[Any, float | None]] | None" = None,
-) -> int:
-    """Record the analyzer's operator tree as spans on the (ambient) tracer.
-
-    Defaults to the active tracer and current span, so the engine can emit
-    operator spans under whatever request span happens to be open without
-    knowing who opened it.  Returns the number of spans emitted.
-
-    ``est_cache`` memoizes estimates per plan-node *identity* across calls
-    (the entry pins the node so its id cannot be recycled).  Plan nodes hash
-    structurally — an O(subtree) cost per ``estimate`` lookup that the hot
-    traced-grading path cannot afford on every request — so callers that
-    cache physical plans (the engine session) pass a long-lived dict here.
-    """
-    tracer = tracer if tracer is not None else active_tracer()
-    if tracer is None:
-        return 0
-    parent = parent if parent is not None else current_span()
-    if estimator is not None:
-        _attach_estimates(analyzer.roots, estimator, est_cache)
-    emitted = 0
-
-    def visit(record: OperatorRecord, span_parent: Any) -> None:
-        nonlocal emitted
-        attributes: dict[str, Any] = {
-            "rows": record.actual_rows,
-            "cached": record.cached,
-            "columnar": record.columnar,
-        }
-        if record.detail:
-            attributes["detail"] = record.detail
-        if record.est_rows is not None:
-            attributes["est_rows"] = record.est_rows
-            qe = record.q_error
-            if qe is not None:
-                attributes["q_error"] = qe
-        attributes.update(record.extra)
-        span = tracer.emit(
-            f"op.{record.op}",
-            parent=span_parent,
-            start=record.start,
-            duration=record.seconds,
-            attributes=attributes,
-            status=record.status,
-        )
-        emitted += 1
-        for child in record.children:
-            visit(child, span)
-
-    for root in analyzer.roots:
-        visit(root, parent)
-    return emitted
-
-
 __all__ = [
     "ExplainAnalysis",
     "OperatorRecord",
-    "PlanAnalyzer",
-    "emit_operator_spans",
+    "operator_meta",
     "q_error",
 ]

@@ -48,24 +48,25 @@ _TRACEPARENT_RE = re.compile(r"^00-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$"
 
 _CURRENT_SPAN: "ContextVar[Span | None]" = ContextVar("repro_current_span", default=None)
 _ACTIVE_TRACER: "ContextVar[Tracer | None]" = ContextVar("repro_active_tracer", default=None)
-_OPERATOR_TRACE: "ContextVar[bool]" = ContextVar("repro_operator_trace", default=False)
 
 
-#: Span-id generation state: ``(pid, Random)``.  A PRNG seeded once from
-#: ``os.urandom`` is ~5x cheaper per id than calling ``os.urandom`` for every
-#: span (ids need uniqueness, not cryptographic strength), which matters when
-#: a traced grading request emits a span per plan operator.  The pid guard
-#: reseeds after ``fork`` so two processes cannot share an id stream.
-_ID_STATE: "tuple[int, random.Random] | None" = None
+#: Span-id generator: a PRNG seeded once from ``os.urandom`` is ~5x cheaper
+#: per id than calling ``os.urandom`` for every span (ids need uniqueness, not
+#: cryptographic strength), which matters when a traced grading request
+#: emits a span per plan operator.  A forked child reseeds, so two processes
+#: cannot share an id stream.
+_ID_RANDOM = random.Random(os.urandom(16))
+
+
+def _reseed_ids() -> None:
+    _ID_RANDOM.seed(os.urandom(16))
+
+
+os.register_at_fork(after_in_child=_reseed_ids)
 
 
 def _new_id(nbytes: int) -> str:
-    global _ID_STATE
-    pid = os.getpid()
-    state = _ID_STATE
-    if state is None or state[0] != pid:
-        state = _ID_STATE = (pid, random.Random(os.urandom(16)))
-    return f"{state[1].getrandbits(nbytes * 8):0{nbytes * 2}x}"
+    return _ID_RANDOM.randbytes(nbytes).hex()
 
 
 class SpanContext(NamedTuple):
@@ -103,12 +104,19 @@ class Span:
     across the processes a trace crosses — while ``duration`` is measured on
     ``perf_counter`` so a clock step mid-request cannot produce negative or
     wildly wrong latencies.
+
+    A span made by a :class:`Tracer` is also its own ``with``-block context
+    manager (see :meth:`Tracer.span`): entering publishes it (and its
+    tracer) as the ambient context; exiting restores the previous context,
+    marks the span ``error`` when the block raised, and finishes it through
+    the tracer's routing.
     """
 
     __slots__ = (
         "name",
         "service",
-        "context",
+        "trace_id",
+        "span_id",
         "parent_id",
         "start",
         "duration",
@@ -116,35 +124,36 @@ class Span:
         "attributes",
         "metrics",
         "_perf_start",
+        "_tracer",
+        "_span_token",
+        "_tracer_token",
     )
 
     def __init__(
         self,
+        tracer: "Tracer",
         name: str,
-        *,
-        service: str = "",
-        context: SpanContext,
+        trace_id: str,
+        span_id: str,
         parent_id: str | None = None,
         attributes: Mapping[str, Any] | None = None,
     ) -> None:
         self.name = name
-        self.service = service
-        self.context = context
+        self.service = tracer.service
+        self.trace_id = trace_id
+        self.span_id = span_id
         self.parent_id = parent_id
         self.start = time.time()
         self.duration: float | None = None
         self.status = "ok"
         self.attributes: dict[str, Any] = dict(attributes) if attributes else {}
         self.metrics: dict[str, float] = {}
+        self._tracer = tracer
         self._perf_start = time.perf_counter()
 
     @property
-    def trace_id(self) -> str:
-        return self.context.trace_id
-
-    @property
-    def span_id(self) -> str:
-        return self.context.span_id
+    def context(self) -> SpanContext:
+        return SpanContext(self.trace_id, self.span_id)
 
     def add_metric(self, name: str, value: float) -> None:
         """Accumulate a numeric counter onto this span (sums across calls)."""
@@ -155,13 +164,32 @@ class Span:
             self.duration = time.perf_counter() - self._perf_start
         return self
 
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        self._span_token = _CURRENT_SPAN.set(self)
+        # Nested spans of one tracer leave the ambient tracer as it is.
+        self._tracer_token = (
+            None if _ACTIVE_TRACER.get() is tracer else _ACTIVE_TRACER.set(tracer)
+        )
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        if self._tracer_token is not None:
+            _ACTIVE_TRACER.reset(self._tracer_token)
+        _CURRENT_SPAN.reset(self._span_token)
+        if exc_type is not None:
+            self.status = "error"
+            self.attributes.setdefault("error", exc_type.__name__)
+        self._tracer.finish_span(self)
+        return False
+
     def to_dict(self) -> dict[str, Any]:
         """The JSON/pickle-safe wire form (crosses the worker queue as-is)."""
         out: dict[str, Any] = {
             "name": self.name,
             "service": self.service,
-            "trace_id": self.context.trace_id,
-            "span_id": self.context.span_id,
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
             "parent_id": self.parent_id,
             "start": self.start,
             "duration": self.duration if self.duration is not None else 0.0,
@@ -236,35 +264,6 @@ class TraceStore:
 _AMBIENT = object()
 
 
-class _ActiveSpan:
-    """``with``-block wrapper around a running span (see :meth:`Tracer.span`).
-
-    Entering publishes the span (and its tracer) as the ambient context;
-    exiting restores the previous context, marks the span ``error`` when the
-    block raised, and finishes it through the tracer's routing.
-    """
-
-    __slots__ = ("_tracer", "_span", "_span_token", "_tracer_token")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        self._span_token = _CURRENT_SPAN.set(self._span)
-        self._tracer_token = _ACTIVE_TRACER.set(self._tracer)
-        return self._span
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        _ACTIVE_TRACER.reset(self._tracer_token)
-        _CURRENT_SPAN.reset(self._span_token)
-        if exc_type is not None:
-            self._span.status = "error"
-            self._span.attributes.setdefault("error", exc_type.__name__)
-        self._tracer.finish_span(self._span)
-        return False
-
-
 class Tracer:
     """Creates spans for one service and routes them as they finish."""
 
@@ -289,11 +288,6 @@ class Tracer:
 
     # -- span lifecycle ------------------------------------------------------
 
-    def _resolve_parent(self, parent: Any) -> "Span | SpanContext | None":
-        if parent is _AMBIENT:
-            return _CURRENT_SPAN.get()
-        return parent
-
     def start_span(
         self,
         name: str,
@@ -306,21 +300,13 @@ class Tracer:
         Callers that cannot use a ``with`` block (a span handed across
         callbacks) pair this with :meth:`finish_span`.
         """
-        resolved = self._resolve_parent(parent)
+        # A parent is a Span or a SpanContext; both name their two ids.
+        resolved = _CURRENT_SPAN.get() if parent is _AMBIENT else parent
         if resolved is None:
-            context = SpanContext(trace_id=_new_id(16), span_id=_new_id(8))
-            parent_id = None
+            trace_id, parent_id = _new_id(16), None
         else:
-            parent_ctx = resolved.context if isinstance(resolved, Span) else resolved
-            context = SpanContext(trace_id=parent_ctx.trace_id, span_id=_new_id(8))
-            parent_id = parent_ctx.span_id
-        return Span(
-            name,
-            service=self.service,
-            context=context,
-            parent_id=parent_id,
-            attributes=attributes,
-        )
+            trace_id, parent_id = resolved.trace_id, resolved.span_id
+        return Span(self, name, trace_id, _new_id(8), parent_id, attributes)
 
     def finish_span(self, span: Span, *, status: str | None = None) -> Span:
         if status is not None:
@@ -335,38 +321,15 @@ class Tracer:
         *,
         parent: Any = _AMBIENT,
         attributes: Mapping[str, Any] | None = None,
-    ) -> "_ActiveSpan":
+    ) -> Span:
         """A span that is also the ambient current span inside the block.
 
-        Returns a lightweight slotted context manager rather than a
+        The span is its own slotted context manager rather than a
         ``@contextmanager`` generator — this sits on the traced hot path
         (one per grading phase plus one per engine operator), where the
-        generator machinery is measurable.
+        generator machinery and every extra allocation are measurable.
         """
-        return _ActiveSpan(self, self.start_span(name, parent=parent, attributes=attributes))
-
-    def emit(
-        self,
-        name: str,
-        *,
-        parent: "Span | SpanContext | None",
-        start: float,
-        duration: float,
-        attributes: Mapping[str, Any] | None = None,
-        status: str = "ok",
-    ) -> Span:
-        """Record an already-measured span (post-hoc operator instrumentation).
-
-        The engine's plan analyzer times operators itself and converts its
-        records to spans after the fact; ``start``/``duration`` are taken
-        verbatim instead of being measured here.
-        """
-        span = self.start_span(name, parent=parent, attributes=attributes)
-        span.start = start
-        span.duration = max(0.0, float(duration))
-        span.status = status
-        self._record(span)
-        return span
+        return self.start_span(name, parent=parent, attributes=attributes)
 
     # -- capture (per-request span collection in worker processes) -----------
 
@@ -392,9 +355,10 @@ class Tracer:
         payload = span.to_dict()
         if self.store is not None:
             self.store.add(payload)
-        with self._capture_lock:
-            for collected in self._captures:
-                collected.append(payload)
+        if self._captures:  # most tracers capture nothing: skip the lock
+            with self._capture_lock:
+                for collected in self._captures:
+                    collected.append(payload)
         if (
             self.slow_threshold is not None
             and span.parent_id is None
@@ -478,25 +442,6 @@ def span(name: str, **attributes: Any):
     return tracer.span(name, attributes=attributes or None)
 
 
-@contextmanager
-def operator_trace(enabled: bool = True) -> Iterator[None]:
-    """Request per-operator engine spans for work done inside the block.
-
-    Separate from span ambience on purpose: operator instrumentation runs
-    the analyzer on every plan execution, which is cheap but not free, so it
-    is opt-in per request (``?trace=1``) rather than implied by any span.
-    """
-    token = _OPERATOR_TRACE.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _OPERATOR_TRACE.reset(token)
-
-
-def operator_trace_enabled() -> bool:
-    return _OPERATOR_TRACE.get()
-
-
 __all__ = [
     "TRACEPARENT_HEADER",
     "Span",
@@ -507,7 +452,5 @@ __all__ = [
     "add_span_metrics",
     "current_span",
     "current_traceparent",
-    "operator_trace",
-    "operator_trace_enabled",
     "span",
 ]

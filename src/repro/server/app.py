@@ -97,6 +97,9 @@ _CACHEABLE_ERROR_KINDS = frozenset(
 #: loop; handler threads are the real resource).
 _BATCH_THREADS, _HTTP_THREADS = 16, 32
 
+#: Hard bound on items per ``/v1/grade_batch`` body.
+MAX_BATCH_SIZE = 10_000
+
 
 def compute_retry_after(depth: int, workers: int, grade_seconds: float) -> int:
     """Retry-After (seconds) for a 429: when should a queue slot exist?
@@ -132,15 +135,11 @@ class ServerConfig:
     request_timeout: float = 300.0
     #: How long shutdown waits for in-flight grades before forcing the issue.
     drain_timeout: float = 30.0
-    #: Hard bound on items per batch request.
-    max_batch_size: int = 10_000
     #: Log one line per request to stderr (quiet by default: tests/benchmarks).
     verbose: bool = False
     #: Root spans (whole requests) slower than this land in the slow-request
     #: log (``/v1/debug/traces`` → ``"slow"``) and a warning log line.
     slow_request_seconds: float = 1.0
-    #: Bound on traces kept in memory for ``/v1/debug/traces``.
-    trace_max_traces: int = 256
 
     # -- cluster membership (all inert unless ``cluster_self`` is set) -------
 
@@ -157,9 +156,6 @@ class ServerConfig:
     #: Proxy non-owned keys to their owner (off → every peer grades locally
     #: but the cross-shard store tier still deduplicates work).
     cluster_forward: bool = True
-    cluster_forward_retries: int = 2
-    cluster_store_probes: int = 2
-    cluster_store_probe_timeout: float = 2.0
 
 
 class GradingServer:
@@ -191,13 +187,7 @@ class GradingServer:
                 down_after=self.config.cluster_down_after,
                 probe_timeout=self.config.cluster_probe_timeout,
             ).start()
-            self.forwarder = Forwarder(
-                self.membership,
-                timeout=self.config.request_timeout,
-                retries=self.config.cluster_forward_retries,
-                store_probe_timeout=self.config.cluster_store_probe_timeout,
-                store_probes=self.config.cluster_store_probes,
-            )
+            self.forwarder = Forwarder(self.membership, timeout=self.config.request_timeout)
         self._started = monotonic()
         self._draining = threading.Event()
         self._shutdown_done = threading.Event()
@@ -208,7 +198,7 @@ class GradingServer:
         self._batch_pool = ThreadPoolExecutor(
             max_workers=_BATCH_THREADS, thread_name_prefix="repro-batch"
         )
-        self.traces = TraceStore(max_traces=self.config.trace_max_traces)
+        self.traces = TraceStore()
         self.tracer = Tracer(
             self.config.cluster_self or "server",
             store=self.traces,
@@ -689,10 +679,9 @@ class GradingServer:
                 "error_kind": "invalid_request",
             }
         items = payload["requests"]
-        if len(items) > self.config.max_batch_size:
+        if len(items) > MAX_BATCH_SIZE:
             return 400, {
-                "error": f"batch of {len(items)} exceeds max_batch_size "
-                f"{self.config.max_batch_size}",
+                "error": f"batch of {len(items)} exceeds max_batch_size {MAX_BATCH_SIZE}",
                 "error_kind": "invalid_request",
             }
         requests: list[SubmissionRequest | None] = []

@@ -134,7 +134,7 @@ def _worker_main(worker_id: int, config: WorkerConfig, conn: Any, edits: tuple) 
     _exit_with_parent()
 
     from repro.api.service import GradingService, classify_error
-    from repro.obs.trace import SpanContext, Tracer, operator_trace
+    from repro.obs.trace import SpanContext, Tracer
 
     tracer = Tracer(f"worker-{worker_id}")
     service = GradingService(
@@ -183,7 +183,7 @@ def _worker_main(worker_id: int, config: WorkerConfig, conn: Any, edits: tuple) 
                     # collect every span (worker, grade phases, engine
                     # operators) and ship them back alongside the envelope.
                     parent = SpanContext.parse(trace_ctx.get("traceparent"))
-                    with tracer.capture() as spans, operator_trace(True), tracer.span(
+                    with tracer.capture() as spans, tracer.span(
                         "worker.grade", parent=parent, attributes={"worker": worker_id}
                     ):
                         graded = service.submit(payload)

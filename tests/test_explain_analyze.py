@@ -1,10 +1,11 @@
-"""Tests for EXPLAIN ANALYZE: per-operator instrumentation vs estimates.
+"""Tests for EXPLAIN ANALYZE: per-operator spans vs estimates.
 
-The analyzer hooks into the executor's memo protocol, so the headline
-property is *zero interference*: an analyzed execution returns exactly the rows a
-plain execution returns, while recording actual cardinalities, wall time and
-cache attribution per operator — which are then compared against the
-cost-based optimizer's :class:`CardinalityEstimator` predictions (q-error).
+Every Set-domain operator execution opens a span whenever a span is current,
+so the headline property is *zero interference*: a traced execution returns
+exactly the rows a plain execution returns, while its spans record actual
+cardinalities, wall time and cache attribution per operator — which are then
+compared against the cost-based optimizer's :class:`CardinalityEstimator`
+predictions (q-error).  EXPLAIN ANALYZE is those spans rebuilt into a tree.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.datagen import toy_university_instance
 from repro.engine.domains import SET_DOMAIN
 from repro.engine.session import EngineSession
 from repro.obs.analyze import ExplainAnalysis, q_error
-from repro.obs.trace import Tracer, operator_trace
+from repro.obs.trace import Tracer
 from repro.parser.ra_parser import parse_query
 
 REFERENCE = "\\project_{name} \\select_{dept = 'ECON'} Registration"
@@ -73,7 +74,7 @@ class TestExplainAnalyze:
         plain = EngineSession(toy_university_instance()).evaluate(expression)
         analyzed_session = EngineSession(toy_university_instance())
         tracer = Tracer("test")
-        with tracer.span("grade"), operator_trace(True):
+        with tracer.span("grade"):
             traced = analyzed_session.evaluate(expression)
         assert traced.same_rows(plain)
 
@@ -91,7 +92,7 @@ class TestExplainAnalyze:
         for _ in range(2):  # a cold run, then a warm one
             plain.evaluate(expression)
             if analyze == "traced":
-                with tracer.span("grade"), operator_trace(True):
+                with tracer.span("grade"):
                     analyzed.evaluate(expression)
             else:
                 analyzed.explain_analyze(expression)
@@ -126,7 +127,7 @@ class TestOperatorSpans:
         session = EngineSession(toy_university_instance())
         tracer = Tracer("test")
         with tracer.capture() as spans:
-            with tracer.span("grade") as root, operator_trace(True):
+            with tracer.span("grade") as root:
                 session.evaluate(parse_query(JOINED))
         op_spans = [s for s in spans if s["name"].startswith("op.")]
         assert op_spans, [s["name"] for s in spans]
@@ -141,6 +142,62 @@ class TestOperatorSpans:
         session = EngineSession(toy_university_instance())
         tracer = Tracer("test")
         with tracer.capture() as spans:
+            session.evaluate(parse_query(JOINED))  # no span is current
+        assert spans == []
+
+    def test_provenance_evaluation_emits_no_operator_spans(self):
+        session = EngineSession(toy_university_instance())
+        tracer = Tracer("test")
+        with tracer.capture() as spans:
             with tracer.span("grade"):
-                session.evaluate(parse_query(JOINED))  # no operator_trace()
+                session.annotated_rows(parse_query(JOINED))
         assert [s["name"] for s in spans] == ["grade"]
+
+
+class TestFromIndex:
+    """A join whose build side is a bare scan reads the relation's index."""
+
+    def test_traced_join_span_carries_from_index(self):
+        session = EngineSession(toy_university_instance())
+        tracer = Tracer("test")
+        with tracer.capture() as spans:
+            with tracer.span("grade"):
+                session.evaluate(parse_query(JOINED))
+        (join,) = [s for s in spans if s["name"] == "op.Join"]
+        assert join["attributes"]["from_index"] is True
+        scans = [s for s in spans if s["name"] == "op.Scan"]
+        # Only the probe side runs as an operator; the build side never did.
+        assert [s["parent_id"] for s in scans] == [join["span_id"]]
+
+    def test_explain_analyze_join_carries_from_index(self, session):
+        payload = session.explain_analyze(parse_query(JOINED)).to_dict()
+        (project,) = payload["operators"]
+        (join,) = project["children"]
+        assert join["op"] == "Join"
+        assert join["from_index"] is True
+        assert list(join) == [
+            "op",
+            "detail",
+            "seconds",
+            "actual_rows",
+            "cached",
+            "columnar",
+            "status",
+            "est_rows",
+            "q_error",
+            "from_index",
+            "children",
+        ]
+        (scan,) = join["children"]
+        assert list(scan) == [
+            "op",
+            "detail",
+            "seconds",
+            "actual_rows",
+            "cached",
+            "columnar",
+            "status",
+            "est_rows",
+            "q_error",
+        ]
+        assert "from_index" not in project

@@ -23,8 +23,6 @@ from repro.obs.trace import (
     add_span_metrics,
     current_span,
     current_traceparent,
-    operator_trace,
-    operator_trace_enabled,
     span as obs_span,
 )
 
@@ -144,15 +142,6 @@ class TestAmbientHelpers:
                 add_span_metrics(conflicts=2)
         assert spans[0]["metrics"] == {"conflicts": 5, "decisions": 10}
 
-    def test_operator_trace_flag_nests_and_restores(self):
-        assert not operator_trace_enabled()
-        with operator_trace(True):
-            assert operator_trace_enabled()
-            with operator_trace(False):
-                assert not operator_trace_enabled()
-            assert operator_trace_enabled()
-        assert not operator_trace_enabled()
-
 
 class TestCaptureAndEmit:
     def test_capture_collects_only_spans_finished_inside(self):
@@ -165,24 +154,6 @@ class TestCaptureAndEmit:
         with tracer.span("after"):
             pass
         assert [s["name"] for s in spans] == ["before", "inside"]
-
-    def test_emit_records_post_hoc_spans(self):
-        tracer = Tracer("svc")
-        with tracer.capture() as spans:
-            with tracer.span("root") as root:
-                tracer.emit(
-                    "op.Scan",
-                    parent=root,
-                    start=123.0,
-                    duration=0.5,
-                    attributes={"rows": 7},
-                )
-        emitted = spans[0]
-        assert emitted["name"] == "op.Scan"
-        assert emitted["start"] == 123.0
-        assert emitted["duration"] == 0.5
-        assert emitted["parent_id"] == root.span_id
-        assert emitted["trace_id"] == root.trace_id
 
     def test_slow_spans_land_in_the_slow_log(self):
         tracer = Tracer("svc", slow_threshold=0.0, slow_capacity=2)

@@ -163,6 +163,16 @@ class TestBatch:
             client._request("POST", "/v1/grade_batch", {"nope": []})
         assert err.value.status == 400
 
+    def test_batch_over_the_size_bound_is_400(self, client, monkeypatch):
+        monkeypatch.setattr("repro.server.app.MAX_BATCH_SIZE", 1)
+        with pytest.raises(ServerError) as err:
+            client._request(
+                "POST",
+                "/v1/grade_batch",
+                {"requests": [request_payload(id="a"), request_payload(id="b")]},
+            )
+        assert err.value.status == 400
+
 
 class TestValidation:
     def test_not_json_is_400(self, server):

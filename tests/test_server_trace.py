@@ -56,6 +56,15 @@ class TestTracedGrade:
         services = {span["service"] for span in spans}
         assert any(service.startswith("worker-") for service in services)
 
+    def test_operator_spans_carry_rows_cache_and_estimates(self, client):
+        envelope = client.grade(payload(seed=107), trace=True)
+        ops = [s for s in envelope["trace"]["spans"] if s["name"].startswith("op.")]
+        assert ops
+        for span in ops:
+            attributes = span["attributes"]
+            assert {"rows", "cached", "columnar", "est_rows", "q_error"} <= set(attributes)
+            assert attributes["q_error"] >= 1.0
+
     def test_untraced_grade_has_no_trace_block(self, client):
         envelope = client.grade(payload(seed=102))
         assert "trace" not in envelope
